@@ -16,7 +16,6 @@ from .errors import (
     IncompatibleAmbient,
     LeadingTermUncertain,
     NonPositiveSupportElement,
-    NonTermination,
     NotParameters,
     NotPositive,
     NotRegular,

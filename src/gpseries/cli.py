@@ -210,23 +210,55 @@ class SessionConfig:
         return len(self.var_names)
 
 
+class FlagError(GPSeriesError):
+    """A malformed flag value: a usage error, exit code 2."""
+
+
+def _flag_ints(flag: str, text: str) -> tuple:
+    """Parse "j1,j2,..." for ``flag``."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise FlagError(f"{flag}: expected integers, got {text!r}") from None
+
+
+def _flag_ranges(flag: str, text: str):
+    """Parse "lo..hi,lo..hi,..." for ``flag`` into (los, his); every range
+    must be nonempty."""
+    los, his = [], []
+    for part in text.split(","):
+        lo, _, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise FlagError(f"{flag}: expected lo..hi, got {part!r}") from None
+        if lo > hi:
+            raise FlagError(f"{flag}: empty range {part!r}")
+        los.append(lo)
+        his.append(hi)
+    return tuple(los), tuple(his)
+
+
 def config_from_args(args) -> SessionConfig:
     var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not var_names:
         raise ParseError("no variables declared", 1, 1, ("name",))
     m = args.hdim
     k = m + len(var_names)
-    order = lex_order(k) if args.order is None else parse_order(args.order)
-    fld = field_from_name(args.field)
+    try:
+        order = lex_order(k) if args.order is None else parse_order(args.order)
+    except ValueError:
+        raise FlagError(f"--order: expected integer rows, got {args.order!r}") \
+            from None
+    try:
+        fld = field_from_name(args.field)
+    except ValueError:
+        raise FlagError(f"--field: expected q or fp:<prime>, got {args.field!r}") \
+            from None
     ambient = Ambient(GroupSplit(m, len(var_names)), order, fld)
     box = None
     if args.box is not None:
-        los, his = [], []
-        for part in args.box.split(","):
-            lo, _, hi = part.partition("..")
-            los.append(int(lo))
-            his.append(int(hi))
-        box = Box(tuple(los), tuple(his))
+        box = Box(*_flag_ranges("--box", args.box))
         if box.k != k:
             raise ParseError(f"box has {box.k} coordinates, expected {k}",
                              1, 1, ())
@@ -324,8 +356,7 @@ def _cmd_eval(args, cfg):
 
 def _cmd_coeff(args, cfg):
     f = evaluate(parse(args.expr), cfg)
-    at = tuple(int(v) for v in args.at.split(","))
-    c = h_coefficient_at(f, at)
+    c = h_coefficient_at(f, _flag_ints("--at", args.at))
     if args.json:
         print(json.dumps(series_to_json(c)))
     else:
@@ -357,12 +388,8 @@ def _cmd_residue(args, cfg):
 def _cmd_represent(args, cfg):
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
-    lo, hi = [], []
-    for part in args.degrees.split(","):
-        a, _, b = part.partition("..")
-        lo.append(int(a))
-        hi.append(int(b))
-    coeffs = represent(psi, params, (tuple(lo), tuple(hi)), cfg.box)
+    degrees = _flag_ranges("--degrees", args.degrees)
+    coeffs = represent(psi, params, degrees, cfg.box)
     if args.json:
         print(json.dumps({",".join(str(i) for i in idx): series_to_json(s)
                           for idx, s in sorted(coeffs.items())}))
@@ -373,7 +400,7 @@ def _cmd_represent(args, cfg):
 
 
 def _cmd_dyson(args, _cfg):
-    inst = DysonInstance(tuple(int(v) for v in args.a.split(",")))
+    inst = DysonInstance(_flag_ints("--a", args.a))
     lhs, rhs, equal = dyson_verify(inst, args.method)
     if args.json:
         print(json.dumps({"lhs": str(lhs), "rhs": str(rhs), "equal": equal}))
@@ -452,6 +479,9 @@ def run(argv) -> int:
               f" (expected one of: {', '.join(map(str, e.expected))})",
               file=sys.stderr)
         print(GRAMMAR_HELP, file=sys.stderr)
+        return 2
+    except FlagError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except BoxUnderflow as e:
         if args.needs_cfg and getattr(args, "box", None) is None:

@@ -57,10 +57,6 @@ class NotRegular(GPSeriesError):
     """Parameter system is not regular (multiplicity determinant not +-1)."""
 
 
-class NonTermination(GPSeriesError):
-    """Internal certificate violation: elimination exceeded its budget."""
-
-
 class BadVariableIndex(GPSeriesError):
     """Variable index out of range 1..n."""
 

@@ -10,6 +10,7 @@ truncated series.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,19 +218,58 @@ def box_intersect(a, b):
     return Box(lo, hi)
 
 
+def _both(op, a, b):
+    """op(a, b) on bound ends, where None (unbounded) absorbs."""
+    return None if a is None or b is None else op(a, b)
+
+
+def _meet(op, a, b):
+    """op(a, b) on bound ends, where None (unbounded) yields to the other."""
+    return b if a is None else a if b is None else op(a, b)
+
+
 @dataclass(frozen=True)
 class Cone:
-    """Certified support superset: offset + N-span of positive generators."""
+    """Support certificate: the true support of a series lies in
+    offset + N-span(generators), each generator positive under the ambient
+    order, and inside the per-coordinate ``bounds`` ((lo, hi), ...), where a
+    None end is unbounded.
+
+    ``bounds`` is always intersected with the hull of the offset and the
+    generators, so it defaults to that hull and is often tighter, e.g. after
+    merging cones of exact summands, whose generators pick up spurious
+    directions.
+    """
 
     offset: Exponent
     generators: tuple  # tuple of Exponents, each > 0 under the ambient order
+    bounds: tuple = None  # tuple of (lo | None, hi | None) per coordinate
+
+    def __post_init__(self):
+        lo = list(self.offset)
+        hi = list(self.offset)
+        for g in self.generators:
+            for c, v in enumerate(g):
+                if v > 0:
+                    hi[c] = None
+                elif v < 0:
+                    lo[c] = None
+        if self.bounds is not None:
+            lo = [_meet(max, a, b) for a, (b, _) in zip(lo, self.bounds)]
+            hi = [_meet(min, a, b) for a, (_, b) in zip(hi, self.bounds)]
+        object.__setattr__(self, "bounds", tuple(zip(lo, hi)))
 
     def shift(self, v: Exponent) -> "Cone":
-        return Cone(exp_add(self.offset, v), self.generators)
+        return Cone(exp_add(self.offset, v), self.generators, tuple(
+            (_both(operator.add, lo, d), _both(operator.add, hi, d))
+            for (lo, hi), d in zip(self.bounds, v)))
 
 
-def make_cone(order: TermOrder, offset: Exponent, generators) -> Cone:
+def make_cone(order: TermOrder, offset: Exponent, generators,
+              bounds=None) -> Cone:
     """Cone with zero generators dropped and positivity checked."""
+    if len(offset) != order.k or bounds is not None and len(bounds) != order.k:
+        raise DimensionMismatch(f"cone offset or bounds length != {order.k}")
     gens = []
     seen = set()
     for g in generators:
@@ -239,20 +279,30 @@ def make_cone(order: TermOrder, offset: Exponent, generators) -> Cone:
             raise NonPositiveSupportElement(f"cone generator {g} is not positive")
         seen.add(g)
         gens.append(g)
-    return Cone(tuple(offset), tuple(gens))
+    return Cone(tuple(offset), tuple(gens), bounds)
 
 
-def cone_hull(cone: Cone):
-    """Per-coordinate hull (lo, hi) of the cone; None means unbounded."""
-    lo = list(cone.offset)
-    hi = list(cone.offset)
-    for g in cone.generators:
-        for c, v in enumerate(g):
-            if v > 0:
-                hi[c] = None
-            elif v < 0:
-                lo[c] = None
-    return list(zip(lo, hi))
+def cone_union(order: TermOrder, c1, c2):
+    """Certificate for a sum: covers both supports.  None stands for an
+    empty support (an exact zero summand) and contributes nothing."""
+    if c1 is None:
+        return c2
+    if c2 is None:
+        return c1
+    offset = order.min((c1.offset, c2.offset))
+    gens = list(c1.generators) + list(c2.generators)
+    gens += [exp_sub(off, offset) for off in (c1.offset, c2.offset)]
+    return make_cone(order, offset, gens, tuple(
+        (_both(min, l1, l2), _both(max, u1, u2))
+        for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
+
+
+def cone_sum(order: TermOrder, c1: Cone, c2: Cone) -> Cone:
+    """Certificate for a product: the Minkowski sum of the two cones."""
+    return make_cone(
+        order, exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
+        tuple((_both(operator.add, l1, l2), _both(operator.add, u1, u2))
+              for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
 def functional_range(row, box: Box):

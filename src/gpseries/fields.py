@@ -74,14 +74,32 @@ def _val(x) -> int:
     return x.val if isinstance(x, FpElement) else x
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for p < _MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -132,6 +150,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= _MR_LIMIT:
+            raise GPSeriesError(f"{self.p} is too large to certify as prime")
         if not _is_prime(self.p):
             raise GPSeriesError(f"{self.p} is not prime")
 

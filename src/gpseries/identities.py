@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadDimension
-from .exponents import Box, GroupSplit, TermOrder, exp_add, zero_exp
+from .exponents import Box, GroupSplit, TermOrder, exp_add, lex_order, zero_exp
 from .residues import ParameterSystem, check_parameters
 from .series import Ambient, Series, add, invert, mul, power
 from .fields import QQ
@@ -77,8 +77,7 @@ def dyson_rhs(inst: DysonInstance) -> Fraction:
 
 def _wilson_ambient(n: int) -> Ambient:
     # log X_1 > ... > log X_n: plain lexicographic order
-    return Ambient(GroupSplit(0, n), TermOrder(
-        tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))), QQ)
+    return Ambient(GroupSplit(0, n), lex_order(n), QQ)
 
 
 def _cross_product(ambient: Ambient, i: int) -> Series:
@@ -160,9 +159,7 @@ def _wilson_lhs(inst: DysonInstance) -> Fraction:
 
 def _egorychev_ambient(n: int) -> Ambient:
     # log X_1 < ... < log X_n: lexicographic on reversed coordinates
-    return Ambient(GroupSplit(0, n), TermOrder(
-        tuple(tuple(1 if c == n - 1 - r else 0 for c in range(n))
-              for r in range(n))), QQ)
+    return Ambient(GroupSplit(0, n), TermOrder(lex_order(n).matrix[::-1]), QQ)
 
 
 def _upsilon(ambient: Ambient, i: int) -> Series:

@@ -9,19 +9,19 @@ off coefficients of a series with respect to the parameters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .calculus import DLOGX, NForm, dlog_wedge, form_h_coefficient
+from .calculus import DLOGX, NForm, dlog_wedge
 from .errors import (
     BoxUnderflow,
     IncompatibleAmbient,
     NotParameters,
     NotRegular,
     OutsideBox,
-    ZeroSeries,
 )
-from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
-from .series import Ambient, Series, add, factorize, invert, mul, power
+from .exponents import Box, exp_add, int_det, zero_exp
+from .series import Ambient, Series, add, factorize, mul, power
 
 
 def multiplicities(f: Series):
@@ -102,8 +102,9 @@ def residue(fr: GeneralizedFraction) -> Series:
     return h_coefficient_at(coeff, zero_exp(fr.ambient.split.n))
 
 
-def _default_working_box(p: ParameterSystem, idx, extra=2) -> Box:
-    """Symmetric box sized from the member supports and requested index."""
+def _default_working_box(p: ParameterSystem, idx, scale=1) -> Box:
+    """Symmetric box sized from the member supports and requested index,
+    grown quadratically in ``scale`` for each retry."""
     k = p.ambient.k
     reach = 0
     for (a, g, tail), i in zip(p.leading, idx):
@@ -111,7 +112,7 @@ def _default_working_box(p: ParameterSystem, idx, extra=2) -> Box:
         for e in tail.coeffs:
             span = max(span, max((abs(v) for v in e), default=0))
         reach += (abs(i) + 1) * (span + 1)
-    r = extra + reach
+    r = scale * (2 * scale + reach)
     return Box((-r,) * k, (r,) * k)
 
 
@@ -129,16 +130,11 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     last = None
     for scale in (1, 2, 4, 8):
         try:
-            box = _default_working_box(p, idx, extra=2 * scale)
-            return _jacobi_in_box(psi, p, idx, _scale_box(box, scale))
+            box = _default_working_box(p, idx, scale)
+            return _jacobi_in_box(psi, p, idx, box)
         except (OutsideBox, BoxUnderflow) as exc:
             last = exc
     raise last
-
-
-def _scale_box(box: Box, scale: int) -> Box:
-    return Box(tuple(v * scale for v in box.lo),
-               tuple(v * scale for v in box.hi))
 
 
 def _jacobi_in_box(psi: Series, p: ParameterSystem, idx,
@@ -183,19 +179,9 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     if len(lo) != p.n or len(hi) != p.n:
         raise NotRegular(f"index bounds must have length {p.n}")
 
-    def idx_lattice():
-        def rec(c):
-            if c == p.n:
-                yield ()
-                return
-            for v in range(lo[c], hi[c] + 1):
-                for rest in rec(c + 1):
-                    yield (v,) + rest
-        return list(rec(0))
-
     # H-offsets: the h range of psi's support shifted by the base exponents
     base = {}
-    for idx in idx_lattice():
+    for idx in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         b = zero_exp(order.k)
         for (a, g, tail), i in zip(p.leading, idx):
             b = exp_add(b, tuple(i * v for v in g))

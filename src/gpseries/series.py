@@ -5,7 +5,8 @@ inside the box the stored coefficients (default zero) are guaranteed to be
 the true coefficients of the represented element of kappa[[e^G]].  A box of
 ``None`` means Everywhere: the series is exactly the stored finite sum.
 Truncated series additionally carry a cone certificate bounding the true
-support, which is what makes inversion and substitution terminate.
+support (``exponents.Cone``: offset, generators and per-coordinate bounds),
+which is what makes inversion and substitution terminate.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .errors import (
 )
 from .exponents import (
     Box,
-    Cone,
     GroupSplit,
     TermOrder,
     box_intersect,
     certify_cone_below,
-    cone_hull,
+    cone_sum,
+    cone_union,
     exp_add,
     exp_neg,
     exp_sub,
@@ -86,6 +87,10 @@ class Ambient:
             g = tuple(g)
             if box is not None and not box.contains(g):
                 raise OutsideBox(f"term {g} lies outside the box")
+            if cone is not None and any(
+                    lo is not None and v < lo or hi is not None and v > hi
+                    for v, (lo, hi) in zip(g, cone.bounds)):
+                raise OutsideBox(f"term {g} lies outside the cone bounds")
             clean[g] = c
         return Series(self, clean, box, cone)
 
@@ -95,21 +100,19 @@ class Series:
     """Element of kappa[[e^G]], exact within ``box``.
 
     ``coeffs`` maps exponents to nonzero scalars and must not be mutated.
-    ``cone`` may be None for a truncated series, meaning no support
-    certificate is available; such series can be read and combined linearly
-    but cannot certify multiplicative results.
-
-    ``hull`` is an optional per-coordinate bound ((lo, hi), ...) on the true
-    support, with None ends meaning unbounded.  Products and sums propagate
-    it; it is often tighter than the cone's hull, whose generators pick up
-    spurious directions when cones from exact summands are merged.
+    ``cone`` is the one support certificate of a truncated series: its
+    offset, generators and per-coordinate bounds contain the true support.
+    Exact series leave it None and derive it from their keys on demand.  It
+    may be None for a truncated series too, meaning no certificate is
+    available: such a series can be read and combined linearly, but any sum
+    with it is uncertified as well, and multiplicative operations refuse it.
+    ``series_to_json`` writes the cone under the ``"cone"`` key.
     """
 
     ambient: Ambient
     coeffs: dict
     box: object  # Box | None (None = Everywhere)
     cone: object  # Cone | None
-    hull: object = None  # tuple of (lo | None, hi | None) per coordinate
 
     @property
     def split(self) -> GroupSplit:
@@ -143,9 +146,9 @@ class Series:
     def scale(self, a) -> "Series":
         a = self.field.coerce(a)
         if a == 0:
-            return Series(self.ambient, {}, self.box, self.cone, self.hull)
+            return Series(self.ambient, {}, self.box, self.cone)
         return Series(self.ambient, {g: a * c for g, c in self.coeffs.items()},
-                      self.box, self.cone, self.hull)
+                      self.box, self.cone)
 
     def shift(self, v) -> "Series":
         """Exact multiplication by the monomial e^v."""
@@ -153,12 +156,7 @@ class Series:
         coeffs = {exp_add(g, v): c for g, c in self.coeffs.items()}
         box = self.box.shift(v) if self.box is not None else None
         cone = self.cone.shift(v) if self.cone is not None else None
-        hull = None
-        if self.hull is not None:
-            hull = tuple((None if lo is None else lo + d,
-                          None if hi is None else hi + d)
-                         for (lo, hi), d in zip(self.hull, v))
-        return Series(self.ambient, coeffs, box, cone, hull)
+        return Series(self.ambient, coeffs, box, cone)
 
     # -- operators -------------------------------------------------------
     def __add__(self, other):
@@ -228,7 +226,8 @@ def _check_ambient(f: Series, g: Series):
 
 
 def _effective_cone(f: Series):
-    """Support certificate: stored cone, or one derived from an exact sum.
+    """Support certificate: stored cone, or one derived from an exact sum
+    (offset at its least key, bounds from its key extents).
 
     Returns None for an exact zero series (empty support needs no cone) and
     raises BoxUnderflow for a truncated series without a certificate.
@@ -238,25 +237,12 @@ def _effective_cone(f: Series):
             return None
         offset = f.order.min(f.coeffs)
         gens = [exp_sub(g, offset) for g in f.coeffs if g != offset]
-        return make_cone(f.order, offset, gens)
+        bounds = [(min(g[c] for g in f.coeffs), max(g[c] for g in f.coeffs))
+                  for c in range(f.order.k)]
+        return make_cone(f.order, offset, gens, bounds)
     if f.cone is None:
         raise BoxUnderflow("truncated series carries no cone certificate")
     return f.cone
-
-
-def _merge_cones(order: TermOrder, c1, c2):
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
-    cmp = order.compare(c1.offset, c2.offset)
-    offset = c1.offset if cmp <= 0 else c2.offset
-    gens = list(c1.generators) + list(c2.generators)
-    for off in (c1.offset, c2.offset):
-        d = exp_sub(off, offset)
-        if any(d):
-            gens.append(d)
-    return make_cone(order, offset, gens)
 
 
 def _convolve(a: dict, b: dict, keep=None) -> dict:
@@ -282,10 +268,6 @@ def _convolve(a: dict, b: dict, keep=None) -> dict:
     return {g: c for g, c in out.items() if c != 0}
 
 
-def monomial(ambient: Ambient, a, g) -> Series:
-    return ambient.monomial(a, g)
-
-
 def add(f: Series, g: Series) -> Series:
     _check_ambient(f, g)
     try:
@@ -300,90 +282,34 @@ def add(f: Series, g: Series) -> Series:
             coeffs.pop(e, None)
         else:
             coeffs[e] = s
-    if box is not None:
-        coeffs = {e: c for e, c in coeffs.items() if box.contains(e)}
-        cone = _merge_cones(f.order, _safe_cone(f), _safe_cone(g))
-        hull = _hull_union(_operand_hull(f), _operand_hull(g))
-    else:
-        cone = None
-        hull = None
-    return Series(f.ambient, coeffs, box, cone, hull)
-
-
-def _safe_cone(f: Series):
+    if box is None:
+        return Series(f.ambient, coeffs, None, None)
+    coeffs = {e: c for e, c in coeffs.items() if box.contains(e)}
     try:
-        return _effective_cone(f)
+        cone = cone_union(f.order, _effective_cone(f), _effective_cone(g))
     except BoxUnderflow:
-        return None
-
-
-def _key_hull(coeffs, k):
-    if not coeffs:
-        return None
-    lo = [min(g[c] for g in coeffs) for c in range(k)]
-    hi = [max(g[c] for g in coeffs) for c in range(k)]
-    return lo, hi
-
-
-def _operand_hull(s: Series):
-    """Tightest available per-coordinate support bound for s, or None."""
-    k = s.order.k
-    if s.box is None:
-        kh = _key_hull(s.coeffs, k)
-        if kh is None:
-            return tuple((0, 0) for _ in range(k))
-        return tuple(zip(kh[0], kh[1]))
-    if s.hull is not None:
-        return s.hull
-    cone = _safe_cone(s)
-    if cone is None:
-        return None
-    return tuple(cone_hull(cone))
-
-
-def _hull_union(h1, h2):
-    if h1 is None or h2 is None:
-        return None
-    out = []
-    for (l1, u1), (l2, u2) in zip(h1, h2):
-        lo = None if l1 is None or l2 is None else min(l1, l2)
-        hi = None if u1 is None or u2 is None else max(u1, u2)
-        out.append((lo, hi))
-    return tuple(out)
-
-
-def _hull_sum(h1, h2):
-    if h1 is None or h2 is None:
-        return None
-    out = []
-    for (l1, u1), (l2, u2) in zip(h1, h2):
-        lo = None if l1 is None or l2 is None else l1 + l2
-        hi = None if u1 is None or u2 is None else u1 + u2
-        out.append((lo, hi))
-    return tuple(out)
+        cone = None  # an uncertified summand leaves the sum uncertified
+    return Series(f.ambient, coeffs, box, cone)
 
 
 def mul(f: Series, g: Series) -> Series:
     _check_ambient(f, g)
     if f.box is None and g.box is None:
         return Series(f.ambient, _convolve(f.coeffs, g.coeffs), None, None)
-    if f.box is None and not f.coeffs:
+    if f.is_zero() or g.is_zero():
         return f.ambient.zero()
-    if g.box is None and not g.coeffs:
-        return g.ambient.zero()
     k = f.order.k
     c1 = _effective_cone(f)
     c2 = _effective_cone(g)
-    h1 = _operand_hull(f)
-    h2 = _operand_hull(g)
     tlo = [None] * k  # None = unbounded
     thi = [None] * k
-    for mine, mine_hull, other_hull in ((f, h1, h2), (g, h2, h1)):
+    for mine, mine_bounds, other_bounds in ((f, c1.bounds, c2.bounds),
+                                            (g, c2.bounds, c1.bounds)):
         if mine.box is None:
             continue
         for c in range(k):
-            mlo, mhi = mine_hull[c]
-            olo, ohi = other_hull[c]
+            mlo, mhi = mine_bounds[c]
+            olo, ohi = other_bounds[c]
             # every contributing exponent of `mine` must be >= its box.lo
             if mlo is None or mlo < mine.box.lo[c]:
                 if ohi is None:
@@ -401,17 +327,14 @@ def mul(f: Series, g: Series) -> Series:
                 if thi[c] is None or cand < thi[c]:
                     thi[c] = cand
     # a None end means any bound in that direction is certifiable; fall back
-    # to the sum of the operands' box (or key-hull) extents
+    # to the sum of the operands' box (or, if exact, key) extents
     fb_lo = [0] * k
     fb_hi = [0] * k
-    for s in (f, g):
-        if s.box is not None:
-            ext = (s.box.lo, s.box.hi)
-        else:
-            ext = _key_hull(s.coeffs, k)
-        for c in range(k):
-            fb_lo[c] += ext[0][c]
-            fb_hi[c] += ext[1][c]
+    for s, cone in ((f, c1), (g, c2)):
+        ext = zip(s.box.lo, s.box.hi) if s.box is not None else cone.bounds
+        for c, (lo, hi) in enumerate(ext):
+            fb_lo[c] += lo
+            fb_hi[c] += hi
     lo = list(tlo)
     hi = list(thi)
     for c in range(k):
@@ -423,24 +346,20 @@ def mul(f: Series, g: Series) -> Series:
             raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
     box = Box(tuple(lo), tuple(hi))
     coeffs = _convolve(f.coeffs, g.coeffs, box.contains)
-    cone = make_cone(f.order, exp_add(c1.offset, c2.offset),
-                     list(c1.generators) + list(c2.generators)) \
-        if c1 is not None and c2 is not None else None
-    if cone is None:
-        cone = c1 if c1 is not None else c2  # zero operand: any cone is sound
-    if cone is None:
-        cone = make_cone(f.order, zero_exp(k), [])
-    return Series(f.ambient, coeffs, box, cone, _hull_sum(h1, h2))
+    return Series(f.ambient, coeffs, box, cone_sum(f.order, c1, c2))
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
     if f.box is not None and not f.box.contains_box(smaller_box):
         raise BoxNotContained("target box is not contained in the current box")
     coeffs = {g: c for g, c in f.coeffs.items() if smaller_box.contains(g)}
-    cone = f.cone if f.box is not None else _safe_cone(f)
-    if cone is None:
-        cone = make_cone(f.order, zero_exp(f.order.k), []) if not f.coeffs else None
-    return Series(f.ambient, coeffs, smaller_box, cone, _operand_hull(f))
+    if f.box is not None:
+        cone = f.cone
+    elif f.coeffs:
+        cone = _effective_cone(f)
+    else:
+        cone = make_cone(f.order, zero_exp(f.order.k), [])
+    return Series(f.ambient, coeffs, smaller_box, cone)
 
 
 def factorize(f: Series):
@@ -470,8 +389,7 @@ def factorize(f: Series):
         tail = Series(f.ambient, tail_coeffs, None, None)
     else:
         tail_box = f.box.shift(exp_neg(g))
-        tail_cone = Cone(exp_sub(f.cone.offset, g), f.cone.generators)
-        tail = Series(f.ambient, tail_coeffs, tail_box, tail_cone)
+        tail = Series(f.ambient, tail_coeffs, tail_box, f.cone.shift(exp_neg(g)))
     return a, g, tail
 
 
@@ -489,16 +407,6 @@ def is_positive_series(f: Series) -> bool:
     except ZeroSeries:
         return True  # empty support is vacuously positive
     return f.order.is_positive(g)
-
-
-def _element_hull(f: Series):
-    """Per-coordinate hull of the possible support elements of f."""
-    if f.box is None:
-        kh = _key_hull(f.coeffs, f.order.k)
-        if kh is None:
-            return [(0, 0)] * f.order.k
-        return list(zip(kh[0], kh[1]))
-    return cone_hull(_effective_cone(f))
 
 
 def _bound_support_set(f: Series):
@@ -543,10 +451,10 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
     ambient = f.ambient
     fld = f.field
     k = f.order.k
-    hull = _element_hull(f)
+    bounds = ((0, 0),) * k if f.is_zero() else _effective_cone(f).bounds
     if f.box is not None and i_max >= 1:
         for c in range(k):
-            mu, nu = hull[c]
+            mu, nu = bounds[c]
             wlo = None if nu is None else box.lo[c] - max(0, (i_max - 1) * nu)
             whi = None if mu is None else box.hi[c] - min(0, (i_max - 1) * mu)
             if mu is not None and (wlo is None or mu > wlo):
@@ -569,7 +477,7 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
         rlo = []
         rhi = []
         for c in range(k):
-            mu, nu = hull[c]
+            mu, nu = bounds[c]
             rlo.append(None if nu is None else box.lo[c] - max(0, t * nu))
             rhi.append(None if mu is None else box.hi[c] - min(0, t * mu))
         pw = _convolve(pw, f.coeffs, _region_filter(rlo, rhi))
@@ -694,7 +602,7 @@ def series_to_json(f: Series) -> dict:
         box = "everywhere"
     else:
         box = {"lo": list(f.box.lo), "hi": list(f.box.hi)}
-    return {
+    data = {
         "order": f.order.to_string(),
         "split": {"m": f.split.m, "n": f.split.n},
         "field": f.field.name,
@@ -702,6 +610,11 @@ def series_to_json(f: Series) -> dict:
         "terms": [{"exp": list(g), "coeff": f.field.format(c)}
                   for g, c in f.sorted_terms()],
     }
+    if f.box is not None and f.cone is not None:
+        data["cone"] = {"offset": list(f.cone.offset),
+                        "generators": [list(g) for g in f.cone.generators],
+                        "bounds": [list(b) for b in f.cone.bounds]}
+    return data
 
 
 def series_from_json(data: dict) -> Series:
@@ -713,4 +626,10 @@ def series_from_json(data: dict) -> Series:
     if data["box"] != "everywhere":
         box = Box(tuple(data["box"]["lo"]), tuple(data["box"]["hi"]))
     coeffs = {tuple(t["exp"]): fld.parse(t["coeff"]) for t in data["terms"]}
-    return ambient.series(coeffs, box=box)
+    cone = None
+    if "cone" in data:  # without it the series loads uncertified
+        c = data["cone"]
+        cone = make_cone(order, tuple(c["offset"]),
+                         [tuple(g) for g in c["generators"]],
+                         tuple(tuple(b) for b in c["bounds"]))
+    return ambient.series(coeffs, box=box, cone=cone)

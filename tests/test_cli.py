@@ -159,6 +159,29 @@ def test_bad_box_with_box_given_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "X", "--box=0..a"], "--box"),
+    (["eval", "X", "--box=3..1"], "--box"),
+    (["coeff", "X", "--at", "a"], "--at"),
+    (["eval", "X", "--field", "fp:x"], "--field"),
+    (["eval", "X", "--order", "a"], "--order"),
+    (["dyson", "--a", "1,x"], "--a:"),
+    (["represent", "X", "--params", "X+X^2", "--degrees", "1..x",
+      "--box=-10..10"], "--degrees"),
+    (["represent", "X", "--params", "X+X^2", "--degrees", "5..1",
+      "--box=-10..10"], "--degrees"),
+])
+def test_malformed_flag_exits_two(capsys, argv, flag):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+def test_large_prime_field_answers(capsys):
+    assert run(["eval", "X", "--field", "fp:1000000000000000003"]) == 0
+    assert capsys.readouterr().out == "X\n"
+
+
 def test_undeclared_variable_exits_one(capsys):
     assert run(["eval", "Z"]) == 1
     capsys.readouterr()

@@ -11,6 +11,8 @@ from gpseries import (
     Box,
     BoxNotContained,
     GroupSplit,
+    LeadingTermUncertain,
+    NonPositiveSupportElement,
     OutsideBox,
     PositiveCharacteristic,
     PrimeField,
@@ -241,6 +243,34 @@ def test_json_round_trip_exact_and_truncated():
     back = series_from_json(data)
     assert back.eq_within(g) and back.box == g.box
     assert series_to_json(back) == series_to_json(g)
+    # the cone certificate survives the trip, so products still certify
+    assert data["cone"]["offset"] == [0, -1]
+    assert mul(back, back).eq_within(mul(g, g))
+    assert mul(back, back).box == mul(g, g).box
+    data["cone"]["bounds"][0] = [0, 0]  # excludes stored terms
+    with pytest.raises(OutsideBox):
+        series_from_json(data)
+    data["cone"]["generators"].append([-1, 0])
+    with pytest.raises(NonPositiveSupportElement):
+        series_from_json(data)
+
+
+def test_uncertified_summand_leaves_sum_uncertified():
+    amb = make_ambient(1)
+    X = amb.var(1)
+    box = Box((0,), (5,))
+    f = invert(X - X ** 2, box)  # true support starts at X^-1, below the box
+    g = invert(amb.one() - X, box)
+    data = series_to_json(f)
+    data.pop("cone", None)  # JSON without a certificate loads uncertified
+    f_json = series_from_json(data)
+    assert f_json.cone is None
+    with pytest.raises(LeadingTermUncertain):
+        factorize(add(f_json, g))
+    with pytest.raises(LeadingTermUncertain):
+        factorize(add(series_from_json(series_to_json(f)), g))
+    h = h_coefficient_at(g, (0,))
+    assert h.cone is None and add(h, g).cone is None
 
 
 def test_json_prime_field():
