@@ -50,6 +50,7 @@ from .series import (
     invert,
     log1p,
     mul,
+    mul_within,
     multiplicity_exponent,
     power,
     series_from_json,

@@ -354,9 +354,18 @@ def _cmd_eval(args, cfg):
     return 0
 
 
+def _check_count(flag: str, values, cfg: SessionConfig):
+    """One value per declared variable, checked before any evaluation."""
+    if len(values) != cfg.n:
+        raise FlagError(f"{flag}: expected one value per variable ({cfg.n}), "
+                        f"got {len(values)}")
+
+
 def _cmd_coeff(args, cfg):
+    at = _flag_ints("--at", args.at)
+    _check_count("--at", at, cfg)
     f = evaluate(parse(args.expr), cfg)
-    c = h_coefficient_at(f, _flag_ints("--at", args.at))
+    c = h_coefficient_at(f, at)
     if args.json:
         print(json.dumps(series_to_json(c)))
     else:
@@ -386,9 +395,10 @@ def _cmd_residue(args, cfg):
 
 
 def _cmd_represent(args, cfg):
+    degrees = _flag_ranges("--degrees", args.degrees)
+    _check_count("--degrees", degrees[0], cfg)
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
-    degrees = _flag_ranges("--degrees", args.degrees)
     coeffs = represent(psi, params, degrees, cfg.box)
     if args.json:
         print(json.dumps({",".join(str(i) for i in idx): series_to_json(s)

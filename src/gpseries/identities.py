@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import BadDimension
 from .exponents import Box, GroupSplit, TermOrder, exp_add, lex_order, zero_exp
 from .residues import ParameterSystem, check_parameters
-from .series import Ambient, Series, add, invert, mul, power
+from .series import Ambient, Series, add, invert, mul, mul_within, power
 from .fields import QQ
 
 
@@ -145,13 +145,11 @@ def _wilson_lhs(inst: DysonInstance) -> Fraction:
     the reduction of the Dyson constant term through the Wilson parameters."""
     n = inst.n
     ambient = _wilson_ambient(n)
-    rest = sum(inst.a[1:])
-    box = Box((0,) * n, (0,) + (rest,) * (n - 1))
     f = ambient.one()
     for j in range(2, n + 1):
         f = add(f, ambient.var(j).scale(-1))
-    g = power(f, -(inst.a[0] + 1), box)
     target = (0,) + tuple(inst.a[1:])
+    g = power(f, -(inst.a[0] + 1), Box(target, target))
     return g.coefficient_at(target)
 
 
@@ -162,17 +160,23 @@ def _egorychev_ambient(n: int) -> Ambient:
     return Ambient(GroupSplit(0, n), TermOrder(lex_order(n).matrix[::-1]), QQ)
 
 
-def _upsilon(ambient: Ambient, i: int) -> Series:
-    """(-1)^(i-1) X_i^(n-1) prod_{j<k, j,k != i} (X_j - X_k)."""
+def _pair_product(out: Series, skip: int = 0) -> Series:
+    """out * prod_{j<k, j,k != skip} (X_j - X_k); skip = 0 keeps every pair."""
+    ambient = out.ambient
     n = ambient.split.n
-    out = ambient.monomial((-1) ** (i - 1), tuple(
-        n - 1 if c == i - 1 else 0 for c in range(n)))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            if i in (j, k):
+            if skip in (j, k):
                 continue
             out = mul(out, add(ambient.var(j), ambient.var(k).scale(-1)))
     return out
+
+
+def _upsilon(ambient: Ambient, i: int) -> Series:
+    """(-1)^(i-1) X_i^(n-1) prod_{j<k, j,k != i} (X_j - X_k)."""
+    n = ambient.split.n
+    return _pair_product(ambient.monomial((-1) ** (i - 1), tuple(
+        n - 1 if c == i - 1 else 0 for c in range(n))), i)
 
 
 def egorychev_parameters(n: int) -> ParameterSystem:
@@ -183,12 +187,8 @@ def egorychev_parameters(n: int) -> ParameterSystem:
 
 
 def vandermonde_delta(ambient: Ambient) -> Series:
-    n = ambient.split.n
-    out = ambient.one()
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            out = mul(out, add(ambient.var(j), ambient.var(k).scale(-1)))
-    return out
+    """prod_{j<k} (X_j - X_k)."""
+    return _pair_product(ambient.one())
 
 
 def cramer_identity_check(n: int) -> bool:
@@ -256,7 +256,9 @@ def _egorychev_lhs(inst: DysonInstance) -> Fraction:
     else:
         ehi = elo = zero_exp(k)
     box = Box(tuple(-h - 1 for h in ehi), tuple(-l + 1 for l in elo))
-    return mul(numer, invert(denom, box)).coefficient_at(zero_exp(k))
+    at_zero = Box(zero_exp(k), zero_exp(k))
+    return mul_within(numer, invert(denom, box), at_zero).coefficient_at(
+        zero_exp(k))
 
 
 def dyson_verify(inst: DysonInstance, method: str = "direct"):

@@ -11,6 +11,7 @@ which is what makes inversion and substitution terminate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,6 +226,11 @@ def _check_ambient(f: Series, g: Series):
         raise IncompatibleAmbient("operands live over different ambients")
 
 
+def _key_extents(keys, k: int):
+    """Per-coordinate (min, max) over a nonempty collection of exponents."""
+    return [(min(g[c] for g in keys), max(g[c] for g in keys)) for c in range(k)]
+
+
 def _effective_cone(f: Series):
     """Support certificate: stored cone, or one derived from an exact sum
     (offset at its least key, bounds from its key extents).
@@ -237,9 +243,7 @@ def _effective_cone(f: Series):
             return None
         offset = f.order.min(f.coeffs)
         gens = [exp_sub(g, offset) for g in f.coeffs if g != offset]
-        bounds = [(min(g[c] for g in f.coeffs), max(g[c] for g in f.coeffs))
-                  for c in range(f.order.k)]
-        return make_cone(f.order, offset, gens, bounds)
+        return make_cone(f.order, offset, gens, _key_extents(f.coeffs, f.order.k))
     if f.cone is None:
         raise BoxUnderflow("truncated series carries no cone certificate")
     return f.cone
@@ -293,14 +297,13 @@ def add(f: Series, g: Series) -> Series:
 
 
 def mul(f: Series, g: Series) -> Series:
-    _check_ambient(f, g)
-    if f.box is None and g.box is None:
-        return Series(f.ambient, _convolve(f.coeffs, g.coeffs), None, None)
-    if f.is_zero() or g.is_zero():
-        return f.ambient.zero()
+    return mul_within(f, g, None)
+
+
+def _product_box(f: Series, g: Series, c1, c2) -> Box:
+    """The box in which the product of f and g (not both exact) is
+    certified: every pair that can land there is stored in the operands."""
     k = f.order.k
-    c1 = _effective_cone(f)
-    c2 = _effective_cone(g)
     tlo = [None] * k  # None = unbounded
     thi = [None] * k
     for mine, mine_bounds, other_bounds in ((f, c1.bounds, c2.bounds),
@@ -344,9 +347,58 @@ def mul(f: Series, g: Series) -> Series:
             hi[c] = max(fb_hi[c], lo[c])
         if lo[c] > hi[c]:
             raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
-    box = Box(tuple(lo), tuple(hi))
-    coeffs = _convolve(f.coeffs, g.coeffs, box.contains)
-    return Series(f.ambient, coeffs, box, cone_sum(f.order, c1, c2))
+    return Box(tuple(lo), tuple(hi))
+
+
+def _cut_to_reach(a: dict, b: dict, box: Box) -> dict:
+    """The terms of ``a`` that some key of ``b`` can carry into ``box``."""
+    if not a or not b:
+        return {}
+    ext = _key_extents(b, box.k)
+    reach = Box(tuple(x - hi for x, (_, hi) in zip(box.lo, ext)),
+                tuple(x - lo for x, (lo, _) in zip(box.hi, ext)))
+    return {g: c for g, c in a.items() if reach.contains(g)}
+
+
+def mul_within(f: Series, g: Series, box) -> Series:
+    """The product f*g, computed only inside ``box`` (None: the whole
+    certified product box; everywhere if both operands are exact).
+
+    The result is exact in the certified product box cut to ``box``; a
+    ``box`` that misses the certified box raises BoxUnderflow.  Only pairs
+    that can land in the result box are enumerated, and a one-point box is
+    read off by looking up, for each term of the smaller operand, its
+    complement in the other.
+    """
+    _check_ambient(f, g)
+    if f.is_zero() or g.is_zero():
+        return f.ambient.zero()
+    if box is None and f.box is None and g.box is None:
+        return Series(f.ambient, _convolve(f.coeffs, g.coeffs), None, None)
+    c1 = _effective_cone(f)
+    c2 = _effective_cone(g)
+    target = box
+    if f.box is not None or g.box is not None:
+        try:
+            target = box_intersect(_product_box(f, g, c1, c2), box)
+        except ValueError:
+            raise BoxUnderflow(
+                "target box lies outside the certified product box") from None
+    cone = cone_sum(f.order, c1, c2)
+    if target.lo == target.hi:
+        t = target.lo
+        a, b = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) \
+            else (g.coeffs, f.coeffs)
+        total = None
+        for g1, x in a.items():
+            y = b.get(exp_sub(t, g1))
+            if y is not None:
+                total = x * y if total is None else total + x * y
+        coeffs = {} if total is None or total == 0 else {t: total}
+        return Series(f.ambient, coeffs, target, cone)
+    a = _cut_to_reach(f.coeffs, g.coeffs, target)
+    b = _cut_to_reach(g.coeffs, a, target)
+    return Series(f.ambient, _convolve(a, b, target.contains), target, cone)
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
@@ -532,26 +584,28 @@ def substitute(c, f: Series, target_box=None) -> Series:
 
 
 def invert(f: Series, target_box=None) -> Series:
-    """Inverse via the factorization f = a e^g (1 + tail):
-    a^-1 e^-g (1 - tail + tail^2 - ...), exact in the target box."""
-    a, g, tail = factorize(f)
-    ainv = f.field.inv(a)
-    if tail.is_zero() or not tail.coeffs and tail.box is not None and \
-            certify_cone_below(f.order, tail.cone, None, tail.box):
-        return f.ambient.monomial(ainv, exp_neg(g))
-    if target_box is None:
-        raise BoxUnderflow("inverting a non-monomial requires a target box")
-    shifted = target_box.shift(g)
-    geom = substitute(lambda i: (-1) ** i, tail, shifted)
-    return geom.scale(ainv).shift(exp_neg(g))
+    """Inverse f^-1, exact in the target box; see ``power``."""
+    return power(f, -1, target_box)
 
 
 def power(f: Series, k: int, target_box=None) -> Series:
-    """Integer power; negative exponents invert into the target box."""
+    """Integer power.  A negative power is one generalized-binomial
+    substitution on the factorization f = a e^g (1 + tail):
+    f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in the target box."""
     if k >= 0:
         return f ** k
-    inv = invert(f, target_box)
-    return inv ** (-k)
+    a, g, tail = factorize(f)
+    ak = f.field.inv(a) ** -k
+    kg = tuple(k * v for v in g)
+    if tail.is_zero() or not tail.coeffs and tail.box is not None and \
+            certify_cone_below(f.order, tail.cone, None, tail.box):
+        return f.ambient.monomial(ak, kg)
+    if target_box is None:
+        raise BoxUnderflow("inverting a non-monomial requires a target box")
+    # binom(k, i) = (-1)^i binom(i - k - 1, i) for k < 0
+    terms = substitute(lambda i: (-1) ** i * math.comb(i - k - 1, i), tail,
+                       target_box.shift(exp_neg(kg)))
+    return terms.scale(ak).shift(kg)
 
 
 def log1p(f: Series, target_box=None) -> Series:

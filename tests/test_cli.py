@@ -170,6 +170,9 @@ def test_bad_box_with_box_given_exits_one(capsys):
       "--box=-10..10"], "--degrees"),
     (["represent", "X", "--params", "X+X^2", "--degrees", "5..1",
       "--box=-10..10"], "--degrees"),
+    (["coeff", "X", "--at", "1,2"], "--at"),
+    (["represent", "X", "--params", "X+X^2", "--degrees", "1..2,1..3",
+      "--box=-10..10"], "--degrees"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     assert run(argv) == 2

@@ -78,6 +78,13 @@ def test_methods_agree():
         assert direct[2] and wilson[2] and egor[2]
 
 
+def test_wilson_one_binomial_substitution():
+    # (1 - X_2 - X_3 - X_4)^-4 read at X^(0,3,3,3): one negative power,
+    # computed only at the coefficient it reads
+    lhs, rhs, equal = dyson_verify(DysonInstance((3, 3, 3, 3)), "wilson")
+    assert lhs == rhs == 369600 and equal
+
+
 def test_unknown_method():
     with pytest.raises(ValueError):
         dyson_verify(DysonInstance((1, 1)), "guess")

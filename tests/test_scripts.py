@@ -1,0 +1,31 @@
+"""The demo scripts run end to end and report agreement."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
+                           *argv[1:]], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_dyson_demo_agrees():
+    out = _run_script("dyson_demo.py", "3", "2")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "all instances agree with (sum a)!/prod a_i!"
+    assert len(lines) == 2 + 3 ** 2 + 3 ** 3  # header, instances, verdict
+
+
+def test_reversion_demo_matches_lagrange_inversion():
+    out = _run_script("reversion_demo.py")
+    assert out.returncode == 0, out.stderr
+    coeffs = [l for l in out.stdout.splitlines() if l.startswith("  a_")]
+    assert len(coeffs) == 10
+    assert all(l.endswith("  ok") for l in coeffs)

@@ -10,6 +10,7 @@ from gpseries import (
     Ambient,
     Box,
     BoxNotContained,
+    BoxUnderflow,
     GroupSplit,
     LeadingTermUncertain,
     NonPositiveSupportElement,
@@ -27,6 +28,8 @@ from gpseries.series import (
     invert,
     log1p,
     mul,
+    mul_within,
+    power,
     series_from_json,
     series_to_json,
     substitute,
@@ -278,3 +281,61 @@ def test_json_prime_field():
     f = amb.monomial(3, (2,)) + amb.one()
     back = series_from_json(series_to_json(f))
     assert back.eq_within(f)
+
+
+def _power_inputs(field):
+    """An exact f with a nonzero leading exponent, and a truncated f."""
+    amb = make_ambient(2, field=field)
+    X, Y = amb.var(1), amb.var(2)
+    exact = mul(amb.monomial(2, (-1, 1)), amb.one() + X - Y.scale(3) + mul(X, Y))
+    truncated = invert(amb.one() - X + Y.scale(2), Box((0, 0), (10, 10)))
+    return amb, [(exact, Box((-6, -6), (6, 6))),
+                 (truncated, Box((0, 0), (6, 6)))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_negative_power_is_one_binomial_substitution(field):
+    amb, inputs = _power_inputs(field)
+    for f, box in inputs:
+        for k in (-1, -2, -3, -4):
+            p = power(f, k, box)
+            assert p.box == box  # exact in the whole target box
+            assert p.eq_within(invert(f, box) ** -k)
+            prod = mul(p, f ** -k)
+            assert prod.box.contains((0, 0))
+            assert prod.eq_within(amb.one())
+
+
+def test_negative_power_of_monomial_is_exact():
+    f = AMB1.monomial(2, (1, -3))
+    assert power(f, -3).coeffs == {(-3, 9): Fraction(1, 8)}
+    assert power(f, -3).box is None
+
+
+def test_mul_within_reads_only_the_target():
+    amb = make_ambient(2)
+    X, Y = amb.var(1), amb.var(2)
+    f = invert(amb.one() - X + Y.scale(2), Box((0, 0), (8, 8)))
+    g = amb.one() + X.scale(3) - mul(X, Y) + Y ** 2
+    full = mul(f, g)
+    for point in [(0, 0), (3, 2), full.box.hi]:
+        one = mul_within(f, g, Box(point, point))
+        assert one.box == Box(point, point)
+        assert one.coefficient_at(point) == full.coefficient_at(point)
+    target = Box((2, -3), (12, 5))
+    part = mul_within(f, g, target)
+    assert part.box == Box((2, 0), (8, 5))
+    assert part.eq_within(full) and len(part.coeffs) < len(full.coeffs)
+    # exact operands: the target box alone bounds the result
+    h = mul_within(g, g, Box((1, 1), (2, 2)))
+    assert h.box == Box((1, 1), (2, 2)) and h.eq_within(mul(g, g))
+    assert mul_within(f, amb.zero(), target).is_zero()
+
+
+def test_mul_within_outside_certified_box_raises():
+    amb = make_ambient(2)
+    f = invert(amb.one() - amb.var(1), Box((0, 0), (8, 8)))
+    with pytest.raises(BoxUnderflow):
+        mul_within(f, amb.var(2), Box((20, 20), (21, 21)))
+    with pytest.raises(BoxUnderflow):
+        mul_within(f, f, Box((-3, 0), (-1, 0)))
