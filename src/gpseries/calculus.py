@@ -25,15 +25,9 @@ def partial(f: Series, i: int) -> Series:
         raise BadVariableIndex(f"variable index {i} not in 1..{split.n}")
     u = split.unit(i)
     pos = split.m + i - 1
-    fld = f.field
-    coeffs = {}
-    for g, c in f.coeffs.items():
-        j = g[pos]
-        if j == 0:
-            continue
-        v = fld.coerce(j) * c
-        if v != 0:  # j can vanish in positive characteristic
-            coeffs[exp_sub(g, u)] = v
+    # j_i can vanish, also in positive characteristic: reduce drops it
+    coeffs = f.field.reduce(
+        {exp_sub(g, u): g[pos] * c for g, c in f.coeffs.items()})
     neg_u = tuple(-x for x in u)
     box = f.box.shift(neg_u) if f.box is not None else None
     cone = f.cone.shift(neg_u) if f.cone is not None else None

@@ -294,9 +294,7 @@ def evaluate(ast, cfg: SessionConfig) -> Series:
 # -- output formatting ----------------------------------------------------
 
 def _scalar_text(fld, c) -> str:
-    if fld.characteristic == 0:
-        return str(fld.coerce(c))
-    return str(fld.coerce(c).val)
+    return str(fld.coerce(c))
 
 
 def _monomial_text(cfg: SessionConfig, g) -> str:

@@ -24,15 +24,15 @@ Exponent = tuple  # tuple[int, ...]
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_neg(a: Exponent) -> Exponent:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def zero_exp(k: int) -> Exponent:
@@ -40,26 +40,24 @@ def zero_exp(k: int) -> Exponent:
 
 
 def int_det(rows) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination: every division below is exact."""
     m = [list(r) for r in rows]
     n = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1, m[col][col])
+            sign = -sign
+        p = m[col][col]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return det.numerator
+            for c in range(col + 1, n):
+                m[r][c] = (p * m[r][c] - m[r][col] * m[col][c]) // prev
+        prev = p
+    return sign * prev
 
 
 def int_matrix_inverse(rows):
@@ -183,7 +181,8 @@ class Box:
         return len(self.lo)
 
     def contains(self, g: Exponent) -> bool:
-        return all(a <= v <= b for a, v, b in zip(self.lo, g, self.hi))
+        return (all(map(operator.le, self.lo, g))
+                and all(map(operator.le, g, self.hi)))
 
     def contains_box(self, other: "Box") -> bool:
         return self.contains(other.lo) and self.contains(other.hi)

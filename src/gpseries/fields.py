@@ -1,9 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain ``fractions.Fraction`` values over the rationals and
-``FpElement`` values over a prime field.  Both support the native ``+ - *``
-operators, compare equal to ``0``/``1`` where appropriate, and are hashable,
-so series code never needs to dispatch on the field.
+A field is an arithmetic policy over plain Python numbers, not a wrapper
+around each element.  Over Q a coefficient is an ``int`` until a division
+leaves a non-integer, which becomes a ``fractions.Fraction``; over F_p it is
+an ``int`` in ``range(p)``.  Series kernels combine coefficients with the
+native ``+ - *`` operators and hand the unreduced results back to the field
+once, at their boundary: ``reduce`` for a coefficient map and ``coerce`` for
+a single scalar.  Division goes through ``inv``, never through ``/``.
 """
 
 from __future__ import annotations
@@ -12,66 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GPSeriesError
-
-
-class FpElement:
-    """A residue modulo a prime, with field arithmetic."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val: int, p: int):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElement(self.val + _val(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FpElement(self.val - _val(other), self.p)
-
-    def __rsub__(self, other):
-        return FpElement(_val(other) - self.val, self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.val * _val(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, FpElement) else FpElement(other, self.p)
-        if o.val == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.val * pow(o.val, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return FpElement(_val(other), self.p) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return FpElement(1, self.p) / self ** (-k)
-        return FpElement(pow(self.val, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __repr__(self):
-        return f"{self.val}"
-
-
-def _val(x) -> int:
-    return x.val if isinstance(x, FpElement) else x
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -114,23 +57,24 @@ class RationalField:
         return 0
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
-            return v
         if isinstance(v, int):
-            return Fraction(v)
+            return int(v)
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else v
         raise GPSeriesError(f"cannot coerce {v!r} into Q")
 
-    def from_fraction(self, fr: Fraction):
-        return fr
-
-    def zero(self):
-        return Fraction(0)
+    def reduce(self, coeffs: dict) -> dict:
+        """The nonzero entries of a coefficient map."""
+        return {g: c for g, c in coeffs.items() if c}
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def inv(self, x):
-        return 1 / self.coerce(x)
+        return self.coerce(Fraction(1, self.coerce(x)))
+
+    def power(self, x, k: int):
+        return self.inv(x) ** -k if k < 0 else self.coerce(x) ** k
 
     def format(self, x) -> str:
         x = self.coerce(x)
@@ -139,8 +83,8 @@ class RationalField:
     def parse(self, s: str):
         if "/" in s:
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return self.coerce(Fraction(int(num), int(den)))
+        return int(s)
 
 
 @dataclass(frozen=True)
@@ -164,35 +108,38 @@ class PrimeField:
         return self.p
 
     def coerce(self, v):
-        if isinstance(v, FpElement):
-            if v.p != self.p:
-                raise GPSeriesError("mixed prime fields")
-            return v
         if isinstance(v, int):
-            return FpElement(v, self.p)
+            return v % self.p
         if isinstance(v, Fraction):
-            return self.from_fraction(v)
+            if v.denominator % self.p == 0:
+                raise GPSeriesError(f"denominator vanishes in F_{self.p}")
+            return v.numerator * pow(v.denominator, -1, self.p) % self.p
         raise GPSeriesError(f"cannot coerce {v!r} into F_{self.p}")
 
-    def from_fraction(self, fr: Fraction):
-        if fr.denominator % self.p == 0:
-            raise GPSeriesError(f"denominator vanishes in F_{self.p}")
-        return FpElement(fr.numerator, self.p) / FpElement(fr.denominator, self.p)
-
-    def zero(self):
-        return FpElement(0, self.p)
+    def reduce(self, coeffs: dict) -> dict:
+        """The nonzero entries of a coefficient map, reduced mod p."""
+        p = self.p
+        return {g: r for g, c in coeffs.items() if (r := c % p)}
 
     def one(self):
-        return FpElement(1, self.p)
+        return 1
 
     def inv(self, x):
-        return self.one() / self.coerce(x)
+        x = self.coerce(x)
+        if x == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return pow(x, -1, self.p)
+
+    def power(self, x, k: int):
+        if k < 0:
+            return pow(self.inv(x), -k, self.p)
+        return pow(self.coerce(x), k, self.p)
 
     def format(self, x) -> str:
-        return str(self.coerce(x).val)
+        return str(self.coerce(x))
 
     def parse(self, s: str):
-        return FpElement(int(s), self.p)
+        return int(s) % self.p
 
 
 QQ = RationalField()

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadDimension
-from .exponents import Box, GroupSplit, TermOrder, exp_add, lex_order, zero_exp
+from .exponents import (
+    Box,
+    GroupSplit,
+    TermOrder,
+    exp_add,
+    exp_neg,
+    lex_order,
+    zero_exp,
+)
 from .residues import ParameterSystem, check_parameters
 from .series import Ambient, Series, add, invert, mul, mul_within, power
 from .fields import QQ
@@ -140,7 +148,7 @@ def wilson_wedge_check(n: int) -> bool:
     return lhs.eq_within(rhs)
 
 
-def _wilson_lhs(inst: DysonInstance) -> Fraction:
+def _wilson_lhs(inst: DysonInstance):
     """Constant term of X_2^-a_2 ... X_n^-a_n (1 - X_2 - ... - X_n)^-(a_1+1),
     the reduction of the Dyson constant term through the Wilson parameters."""
     n = inst.n
@@ -234,7 +242,7 @@ def egorychev_wedge_check(n: int) -> bool:
     return lhs.eq_within(rhs)
 
 
-def _egorychev_lhs(inst: DysonInstance) -> Fraction:
+def _egorychev_lhs(inst: DysonInstance):
     """Constant term of Psi(Upsilon) = (sum Upsilon)^(sum a) / prod
     Upsilon_i^(a_i), computed with a single certified inversion."""
     n = inst.n
@@ -255,7 +263,7 @@ def _egorychev_lhs(inst: DysonInstance) -> Fraction:
         elo = tuple(min(g[c] for g in numer.coeffs) for c in range(k))
     else:
         ehi = elo = zero_exp(k)
-    box = Box(tuple(-h - 1 for h in ehi), tuple(-l + 1 for l in elo))
+    box = Box(exp_neg(ehi), exp_neg(elo))
     at_zero = Box(zero_exp(k), zero_exp(k))
     return mul_within(numer, invert(denom, box), at_zero).coefficient_at(
         zero_exp(k))

@@ -242,9 +242,9 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
 
     lead_consts = {}
     for idx in base:
-        c = fld.one()
+        c = 1
         for (a, g, tail), i in zip(p.leading, idx):
-            c = c * (fld.inv(a) ** (-i) if i < 0 else a ** i)
+            c = fld.coerce(c * fld.power(a, i))
         lead_consts[idx] = c
 
     solved = {}  # x -> scalar a_x
@@ -260,7 +260,7 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
             c = unit_for(idx_y).coefficient_at(d)
             if c != 0:
                 acc = acc - ay * lead_consts[idx_y] * c
-        solved[x] = acc * fld.inv(lead_consts[idx])
+        solved[x] = fld.coerce(acc * fld.inv(lead_consts[idx]))
 
     out_box = _h_box_of(psi)
     result = {}

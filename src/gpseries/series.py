@@ -12,6 +12,7 @@ which is what makes inversion and substitution terminate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,14 +143,12 @@ class Series:
         g = tuple(g)
         if self.box is not None and not self.box.contains(g):
             raise OutsideBox(f"{g} is outside the exactness box")
-        return self.coeffs.get(g, self.field.zero())
+        return self.coeffs.get(g, 0)
 
     def scale(self, a) -> "Series":
         a = self.field.coerce(a)
-        if a == 0:
-            return Series(self.ambient, {}, self.box, self.cone)
-        return Series(self.ambient, {g: a * c for g, c in self.coeffs.items()},
-                      self.box, self.cone)
+        coeffs = {g: a * c for g, c in self.coeffs.items()} if a else {}
+        return Series(self.ambient, self.field.reduce(coeffs), self.box, self.cone)
 
     def shift(self, v) -> "Series":
         """Exact multiplication by the monomial e^v."""
@@ -249,27 +248,20 @@ def _effective_cone(f: Series):
     return f.cone
 
 
-def _convolve(a: dict, b: dict, keep=None) -> dict:
-    """Coefficient convolution; ``keep`` filters result exponents."""
+def _convolve(fld, a: dict, b: dict, keep=None) -> dict:
+    """Coefficient convolution, reduced by the field once at the end;
+    ``keep`` filters result exponents."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
+    get = out.get
+    plus = operator.add
     for g1, c1 in a.items():
         for g2, c2 in b.items():
-            g = exp_add(g1, g2)
-            if keep is not None and not keep(g):
-                continue
-            prod = c1 * c2
-            cur = out.get(g)
-            if cur is None:
-                out[g] = prod
-            else:
-                cur = cur + prod
-                if cur == 0:
-                    del out[g]
-                else:
-                    out[g] = cur
-    return {g: c for g, c in out.items() if c != 0}
+            g = tuple(map(plus, g1, g2))
+            if keep is None or keep(g):
+                out[g] = get(g, 0) + c1 * c2
+    return fld.reduce(out)
 
 
 def add(f: Series, g: Series) -> Series:
@@ -279,13 +271,10 @@ def add(f: Series, g: Series) -> Series:
     except ValueError:
         raise BoxUnderflow("summand boxes do not overlap") from None
     coeffs = dict(f.coeffs)
+    get = coeffs.get
     for e, c in g.coeffs.items():
-        cur = coeffs.get(e)
-        s = c if cur is None else cur + c
-        if s == 0:
-            coeffs.pop(e, None)
-        else:
-            coeffs[e] = s
+        coeffs[e] = get(e, 0) + c
+    coeffs = f.field.reduce(coeffs)
     if box is None:
         return Series(f.ambient, coeffs, None, None)
     coeffs = {e: c for e, c in coeffs.items() if box.contains(e)}
@@ -374,7 +363,8 @@ def mul_within(f: Series, g: Series, box) -> Series:
     if f.is_zero() or g.is_zero():
         return f.ambient.zero()
     if box is None and f.box is None and g.box is None:
-        return Series(f.ambient, _convolve(f.coeffs, g.coeffs), None, None)
+        return Series(f.ambient, _convolve(f.field, f.coeffs, g.coeffs),
+                      None, None)
     c1 = _effective_cone(f)
     c2 = _effective_cone(g)
     target = box
@@ -389,16 +379,16 @@ def mul_within(f: Series, g: Series, box) -> Series:
         t = target.lo
         a, b = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) \
             else (g.coeffs, f.coeffs)
-        total = None
+        total = 0
         for g1, x in a.items():
             y = b.get(exp_sub(t, g1))
             if y is not None:
-                total = x * y if total is None else total + x * y
-        coeffs = {} if total is None or total == 0 else {t: total}
-        return Series(f.ambient, coeffs, target, cone)
+                total += x * y
+        return Series(f.ambient, f.field.reduce({t: total}), target, cone)
     a = _cut_to_reach(f.coeffs, g.coeffs, target)
     b = _cut_to_reach(g.coeffs, a, target)
-    return Series(f.ambient, _convolve(a, b, target.contains), target, cone)
+    return Series(f.ambient, _convolve(f.field, a, b, target.contains),
+                  target, cone)
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
@@ -436,7 +426,10 @@ def factorize(f: Series):
             raise LeadingTermUncertain(
                 "box cannot certify that the least stored term is the leading term")
     a = f.coeffs[g]
-    tail_coeffs = {exp_sub(e, g): c / a for e, c in f.coeffs.items() if e != g}
+    fld = f.field
+    ainv = fld.inv(a)
+    tail_coeffs = {exp_sub(e, g): fld.coerce(c * ainv)
+                   for e, c in f.coeffs.items() if e != g}
     if f.box is None:
         tail = Series(f.ambient, tail_coeffs, None, None)
     else:
@@ -481,15 +474,11 @@ def _bound_support_set(f: Series):
 
 
 def _region_filter(lo, hi):
-    """Membership test for a coordinate region with optional infinite ends."""
-    def keep(g):
-        for v, a, b in zip(g, lo, hi):
-            if a is not None and v < a:
-                return False
-            if b is not None and v > b:
-                return False
-        return True
-    return keep
+    """Membership test for a coordinate region; a None end is infinite."""
+    lo = [-math.inf if a is None else a for a in lo]
+    hi = [math.inf if b is None else b for b in hi]
+    le = operator.le
+    return lambda g: all(map(le, lo, g)) and all(map(le, g, hi))
 
 
 def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
@@ -520,10 +509,9 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
                 raise BoxUnderflow(
                     f"operand box does not cover the factor window in coordinate {c}")
     acc = {}
-    c0 = fld.coerce(cfn(0))
-    if c0 != 0 and box.contains(zero_exp(k)):
-        acc[zero_exp(k)] = c0
-    pw = {zero_exp(k): fld.one()}
+    if box.contains(zero_exp(k)):
+        acc[zero_exp(k)] = fld.coerce(cfn(0))
+    pw = {zero_exp(k): 1}
     for i in range(1, i_max + 1):
         t = i_max - i
         rlo = []
@@ -532,24 +520,18 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
             mu, nu = bounds[c]
             rlo.append(None if nu is None else box.lo[c] - max(0, t * nu))
             rhi.append(None if mu is None else box.hi[c] - min(0, t * mu))
-        pw = _convolve(pw, f.coeffs, _region_filter(rlo, rhi))
+        pw = _convolve(fld, pw, f.coeffs, _region_filter(rlo, rhi))
         if not pw:
             break
         ci = fld.coerce(cfn(i))
         if ci == 0:
             continue
         for g, v in pw.items():
-            if not box.contains(g):
-                continue
-            cur = acc.get(g)
-            s = ci * v if cur is None else cur + ci * v
-            if s == 0:
-                acc.pop(g, None)
-            else:
-                acc[g] = s
+            if box.contains(g):
+                acc[g] = acc.get(g, 0) + ci * v
     elems = _bound_support_set(f)
     cone = make_cone(f.order, zero_exp(k), elems)
-    return Series(ambient, {g: c for g, c in acc.items() if c != 0}, box, cone)
+    return Series(ambient, fld.reduce(acc), box, cone)
 
 
 def substitute(c, f: Series, target_box=None) -> Series:
@@ -595,7 +577,7 @@ def power(f: Series, k: int, target_box=None) -> Series:
     if k >= 0:
         return f ** k
     a, g, tail = factorize(f)
-    ak = f.field.inv(a) ** -k
+    ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)
     if tail.is_zero() or not tail.coeffs and tail.box is not None and \
             certify_cone_below(f.order, tail.cone, None, tail.box):

@@ -16,6 +16,7 @@ from gpseries.exponents import (
     TermOrder,
     box_intersect,
     certify_cone_below,
+    int_det,
     lex_order,
     make_cone,
     parse_order,
@@ -25,6 +26,31 @@ from gpseries.exponents import (
 
 G1 = parse_order("1,0;0,1")  # X-major
 G2 = parse_order("0,1;1,0")  # Y-major
+
+
+def _cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:]
+                                                     for r in m[1:]])
+               for j in range(len(m)))
+
+
+def test_int_det_against_cofactor_expansion():
+    rng = random.Random(8)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # one row a combination of others
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[-2])]
+        if rng.random() < 0.3:  # a zero pivot forces a row swap
+            m[0][0] = 0
+        rng.shuffle(m)
+        expect = _cofactor_det(m)
+        singular += expect == 0
+        assert int_det(m) == expect and type(int_det(m)) is int
+    assert singular >= 50
 
 
 def test_validate_identity_is_lex():

@@ -78,6 +78,17 @@ def test_methods_agree():
         assert direct[2] and wilson[2] and egor[2]
 
 
+def test_egorychev_matches_multinomial():
+    # the inversion box is sized exactly to the points the product reads
+    for a in itertools.product(range(3), repeat=3):
+        if sum(a):
+            expect = math.factorial(sum(a))
+            for x in a:
+                expect //= math.factorial(x)
+            assert dyson_verify(DysonInstance(a), "egorychev") == (
+                expect, expect, True)
+
+
 def test_wilson_one_binomial_substitution():
     # (1 - X_2 - X_3 - X_4)^-4 read at X^(0,3,3,3): one negative power,
     # computed only at the coefficient it reads
