@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -60,25 +59,6 @@ def int_det(rows) -> int:
     return sign * prev
 
 
-def int_matrix_inverse(rows):
-    """Inverse of a square integer matrix as a matrix of Fractions."""
-    n = len(rows)
-    m = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularOrderMatrix("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [v / d for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [r[n:] for r in m]
-
-
 @dataclass(frozen=True)
 class GroupSplit:
     """G = Z^k with H the first m coordinates and n variable coordinates."""
@@ -119,9 +99,10 @@ class TermOrder:
 
     def key(self, v: Exponent):
         """M*v; sorting exponents by this tuple sorts them by the order."""
-        if len(v) != self.k:
+        if len(v) != len(self.matrix):
             raise DimensionMismatch(f"exponent length {len(v)} != {self.k}")
-        return tuple(sum(r[i] * v[i] for i in range(self.k)) for r in self.matrix)
+        mul = operator.mul
+        return tuple([sum(map(mul, r, v)) for r in self.matrix])
 
     def compare(self, a: Exponent, b: Exponent) -> int:
         """-1, 0 or 1 as a <, =, > b."""

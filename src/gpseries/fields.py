@@ -7,10 +7,14 @@ an ``int`` in ``range(p)``.  Series kernels combine coefficients with the
 native ``+ - *`` operators and hand the unreduced results back to the field
 once, at their boundary: ``reduce`` for a coefficient map and ``coerce`` for
 a single scalar.  Division goes through ``inv``, never through ``/``.
+A kernel that wants integer arithmetic asks ``integral`` for a coefficient
+map scaled to ints by a common denominator, and passes the product of those
+denominators back to ``reduce``, which divides each result once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,9 +67,26 @@ class RationalField:
             return v.numerator if v.denominator == 1 else v
         raise GPSeriesError(f"cannot coerce {v!r} into Q")
 
-    def reduce(self, coeffs: dict) -> dict:
-        """The nonzero entries of a coefficient map."""
-        return {g: c for g, c in coeffs.items() if c}
+    def integral(self, coeffs: dict):
+        """(ints, den): the map times the least common denominator of its
+        values, and that denominator."""
+        dens = {c.denominator for c in coeffs.values() if c.__class__ is Fraction}
+        if not dens:
+            return coeffs, 1
+        den = math.lcm(*dens)
+        return {g: c.numerator * (den // c.denominator)
+                for g, c in coeffs.items()}, den
+
+    def reduce(self, coeffs: dict, den: int = 1) -> dict:
+        """The nonzero entries of a coefficient map, each divided by den
+        (an integral Fraction, as a product or a sum can leave, becomes an
+        int)."""
+        if den == 1:
+            return {g: c.numerator if c.__class__ is Fraction
+                    and c.denominator == 1 else c
+                    for g, c in coeffs.items() if c}
+        coerce = self.coerce
+        return {g: coerce(Fraction(c, den)) for g, c in coeffs.items() if c}
 
     def one(self):
         return 1
@@ -116,9 +137,17 @@ class PrimeField:
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
         raise GPSeriesError(f"cannot coerce {v!r} into F_{self.p}")
 
-    def reduce(self, coeffs: dict) -> dict:
-        """The nonzero entries of a coefficient map, reduced mod p."""
+    def integral(self, coeffs: dict):
+        """(ints, den): the values are ints already, so den is 1."""
+        return coeffs, 1
+
+    def reduce(self, coeffs: dict, den: int = 1) -> dict:
+        """The nonzero entries of a coefficient map, each divided by den
+        and reduced mod p."""
         p = self.p
+        if den != 1:
+            d = self.inv(den)
+            return {g: r for g, c in coeffs.items() if (r := c * d % p)}
         return {g: r for g, c in coeffs.items() if (r := c % p)}
 
     def one(self):

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (
     BoxNotContained,
     BoxUnderflow,
+    DimensionMismatch,
     IncompatibleAmbient,
     LeadingTermUncertain,
     NotPositive,
@@ -141,6 +144,9 @@ class Series:
 
     def coefficient_at(self, g):
         g = tuple(g)
+        k = len(self.ambient.order.matrix)  # not the k property: a hot path
+        if len(g) != k:
+            raise DimensionMismatch(f"exponent length {len(g)} != {k}")
         if self.box is not None and not self.box.contains(g):
             raise OutsideBox(f"{g} is outside the exactness box")
         return self.coeffs.get(g, 0)
@@ -225,9 +231,9 @@ def _check_ambient(f: Series, g: Series):
         raise IncompatibleAmbient("operands live over different ambients")
 
 
-def _key_extents(keys, k: int):
+def _key_extents(keys):
     """Per-coordinate (min, max) over a nonempty collection of exponents."""
-    return [(min(g[c] for g in keys), max(g[c] for g in keys)) for c in range(k)]
+    return [(min(col), max(col)) for col in zip(*keys)]
 
 
 def _effective_cone(f: Series):
@@ -242,26 +248,160 @@ def _effective_cone(f: Series):
             return None
         offset = f.order.min(f.coeffs)
         gens = [exp_sub(g, offset) for g in f.coeffs if g != offset]
-        return make_cone(f.order, offset, gens, _key_extents(f.coeffs, f.order.k))
+        return make_cone(f.order, offset, gens, _key_extents(f.coeffs))
     if f.cone is None:
         raise BoxUnderflow("truncated series carries no cone certificate")
     return f.cone
 
 
-def _convolve(fld, a: dict, b: dict, keep=None) -> dict:
-    """Coefficient convolution, reduced by the field once at the end;
-    ``keep`` filters result exponents."""
-    if len(a) > len(b):
-        a, b = b, a
+class _Packing:
+    """Exponents inside the coordinate box [lo, hi], each packed into one
+    int (after Monagan and Pearce): coordinate c takes a slot of
+    (hi[c] - lo[c]).bit_length() bits plus one guard bit above it.
+
+    ``pack(g)`` stores g - lo and ``step(h)`` stores h itself, so for any g
+    and h whose sum lies in the box, ``pack(g) + step(h) == pack(g + h)``.
+    Then no slot carries into the next, ``window`` turns a region into two
+    constants against which one masked compare each tests every coordinate
+    of such a sum at once, and packed order sorts by the top slot first.
+    The top slot goes to the coordinate in which ``region`` is narrowest
+    against the box, so that a sorted run of packed terms can be cut to it
+    by bisection.
+    """
+
+    def __init__(self, lo, hi, region):
+        self.lo = tuple(lo)
+        self.span = tuple(map(operator.sub, hi, lo))
+        k = len(self.lo)
+        rlo, rhi = region
+        self.top = min(range(k), key=lambda c: (
+            min(rhi[c], hi[c]) - max(rlo[c], lo[c]) + 1) / (self.span[c] + 1))
+        self.shifts = [0] * k
+        self.masks = [0] * k
+        self.guard = 0
+        at = 0
+        for c in [c for c in range(k) if c != self.top] + [self.top]:
+            w = self.span[c].bit_length()
+            self.shifts[c] = at
+            self.masks[c] = (1 << w) - 1
+            self.guard |= 1 << (at + w)
+            at += w + 1
+
+    def pack(self, g) -> int:
+        return sum(map(operator.lshift, map(operator.sub, g, self.lo),
+                       self.shifts))
+
+    def step(self, h) -> int:
+        return sum(map(operator.lshift, h, self.shifts))
+
+    def unpack(self, s: int):
+        return tuple(map(operator.add, self.lo, map(
+            operator.and_, map(operator.rshift, repeat(s), self.shifts),
+            self.masks)))
+
+    def window(self, lo, hi):
+        """(low, high, first, stop), None if the region [lo, hi] misses
+        the box.  A packed s lies in the region iff
+        ``(s + low) & guard == guard`` (every slot >= lo) and
+        ``(high - s) & guard == guard`` (every slot <= hi); its top slot
+        does iff first <= s < stop.  ``lo`` and ``hi`` may hold infinite
+        ends."""
+        low = high = self.guard
+        for c, (sh, a, d) in enumerate(zip(self.shifts, self.lo, self.span)):
+            l = max(0, lo[c] - a)
+            h = min(d, hi[c] - a)
+            if l > h:
+                return None
+            low -= l << sh
+            high += h << sh
+            if c == self.top:
+                first, stop = l << sh, (h + 1) << sh
+        return low, high, first, stop
+
+
+def _pair_loop(xs, ys, window, guard) -> dict:
+    """Sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
+    packed sum x + y lies in ``window``, keyed by that sum.  ``ys`` is
+    sorted, and for each x only the run of ys that puts the top slot of
+    x + y inside the window is visited."""
+    low, high, first, stop = window
+    keys = [y for y, _ in ys]
     out = {}
     get = out.get
-    plus = operator.add
-    for g1, c1 in a.items():
-        for g2, c2 in b.items():
-            g = tuple(map(plus, g1, g2))
-            if keep is None or keep(g):
+    for x, c1 in xs:
+        lx = x + low
+        hx = high - x
+        for y, c2 in ys[bisect_left(keys, first - x):bisect_left(keys, stop - x)]:
+            if (lx + y) & guard == guard and (hx - y) & guard == guard:
+                s = x + y
+                out[s] = get(s, 0) + c1 * c2
+    return out
+
+
+def _reach(keys, ext, lo, hi) -> dict:
+    """The terms of ``keys`` that some exponent within the extents ``ext``
+    can carry into the region [lo, hi]."""
+    rlo = [a - e for a, (_, e) in zip(lo, ext)]
+    rhi = [b - e for b, (e, _) in zip(hi, ext)]
+    le = operator.le
+    return {g: c for g, c in keys.items()
+            if all(map(le, rlo, g)) and all(map(le, g, rhi))}
+
+
+def _ends(lo, hi):
+    """A region's corners with each None end made infinite."""
+    return (tuple(-math.inf if v is None else v for v in lo),
+            tuple(math.inf if v is None else v for v in hi))
+
+
+def _convolve(fld, a: dict, b: dict, region=None) -> dict:
+    """Coefficient convolution of two coefficient maps, restricted to the
+    result exponents inside ``region`` = (lo, hi), where a None end is
+    unbounded; the field reduces each result term once.
+
+    With a region, each operand is first cut to the terms that the other
+    can carry into it, exponents are packed for the pair loop and unpacked
+    for the result only, and coefficients become ints by the field's
+    common denominator.  Without one (the exact product of two exact
+    series) the pairs are summed as tuples: such operands are small in
+    practice, and packing them costs more than it saves.
+    """
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if region is None:
+        out = {}
+        get = out.get
+        plus = operator.add
+        for g1, c1 in a.items():
+            for g2, c2 in b.items():
+                g = tuple(map(plus, g1, g2))
                 out[g] = get(g, 0) + c1 * c2
-    return fld.reduce(out)
+        return fld.reduce(out)
+    lo, hi = _ends(*region)
+    a = _reach(a, _key_extents(b), lo, hi)
+    if not a:
+        return {}
+    ea = _key_extents(a)
+    b = _reach(b, ea, lo, hi)
+    if not b:
+        return {}
+    eb = _key_extents(b)
+    pk = _Packing([x + y for (x, _), (y, _) in zip(ea, eb)],
+                  [x + y for (_, x), (_, y) in zip(ea, eb)], (lo, hi))
+    window = pk.window(lo, hi)
+    if window is None:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    a, da = fld.integral(a)
+    b, db = fld.integral(b)
+    out = _pair_loop([(pk.pack(g), c) for g, c in a.items()],
+                     sorted((pk.step(g), c) for g, c in b.items()),
+                     window, pk.guard)
+    unpack = pk.unpack
+    return {unpack(s): c for s, c in fld.reduce(out, da * db).items()}
 
 
 def add(f: Series, g: Series) -> Series:
@@ -339,16 +479,6 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _cut_to_reach(a: dict, b: dict, box: Box) -> dict:
-    """The terms of ``a`` that some key of ``b`` can carry into ``box``."""
-    if not a or not b:
-        return {}
-    ext = _key_extents(b, box.k)
-    reach = Box(tuple(x - hi for x, (_, hi) in zip(box.lo, ext)),
-                tuple(x - lo for x, (lo, _) in zip(box.hi, ext)))
-    return {g: c for g, c in a.items() if reach.contains(g)}
-
-
 def mul_within(f: Series, g: Series, box) -> Series:
     """The product f*g, computed only inside ``box`` (None: the whole
     certified product box; everywhere if both operands are exact).
@@ -385,10 +515,8 @@ def mul_within(f: Series, g: Series, box) -> Series:
             if y is not None:
                 total += x * y
         return Series(f.ambient, f.field.reduce({t: total}), target, cone)
-    a = _cut_to_reach(f.coeffs, g.coeffs, target)
-    b = _cut_to_reach(g.coeffs, a, target)
-    return Series(f.ambient, _convolve(f.field, a, b, target.contains),
-                  target, cone)
+    return Series(f.ambient, _convolve(f.field, f.coeffs, g.coeffs,
+                                       (target.lo, target.hi)), target, cone)
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
@@ -473,21 +601,16 @@ def _bound_support_set(f: Series):
         "cone offset is not positive; cannot bound powers of this series")
 
 
-def _region_filter(lo, hi):
-    """Membership test for a coordinate region; a None end is infinite."""
-    lo = [-math.inf if a is None else a for a in lo]
-    hi = [math.inf if b is None else b for b in hi]
-    le = operator.le
-    return lambda g: all(map(le, lo, g)) and all(map(le, g, hi))
-
-
 def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
     """Exact-in-box evaluation of sum_i cfn(i) * f^i for positive f.
 
     Powers are accumulated with pruning: after i factors, only exponents
     that can still reach the box with the remaining i_max - i factors are
     kept.  When f is truncated, the window of exponents any single factor
-    can contribute must be covered by f's box.
+    can contribute must be covered by f's box.  The base is packed once, in
+    one layout wide enough for every step, and the running power stays
+    packed through all i_max steps; over Q it stays an int map over the
+    base's denominator to the i-th power, and the sum is divided once.
     """
     ambient = f.ambient
     fld = f.field
@@ -508,30 +631,55 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
             if wlo is None or whi is None or wlo < f.box.lo[c] or whi > f.box.hi[c]:
                 raise BoxUnderflow(
                     f"operand box does not cover the factor window in coordinate {c}")
-    acc = {}
-    if box.contains(zero_exp(k)):
-        acc[zero_exp(k)] = fld.coerce(cfn(0))
-    pw = {zero_exp(k): 1}
+    zero = zero_exp(k)
+    # every pair sums at most i_max terms of f, and the origin is 0
+    ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
+    pk = _Packing([min(0, i_max * mu) for mu, _ in ext],
+                  [max(0, i_max * nu) for _, nu in ext], (box.lo, box.hi))
+    guard = pk.guard
+    base, fden = fld.integral(f.coeffs)
+    step = sorted((pk.step(g), c) for g, c in base.items())
+    inbox = pk.window(box.lo, box.hi)
+    c0 = fld.coerce(cfn(0))
+    origin = pk.pack(zero)
+    den = c0.denominator  # acc holds ints over den
+    acc = {origin: c0.numerator} if box.contains(zero) else {}
+    get = acc.get
+    pw = {origin: 1}  # ints over pden
+    pden = 1
     for i in range(1, i_max + 1):
+        # where the i-th power must lie to still reach the box
         t = i_max - i
-        rlo = []
-        rhi = []
-        for c in range(k):
-            mu, nu = bounds[c]
-            rlo.append(None if nu is None else box.lo[c] - max(0, t * nu))
-            rhi.append(None if mu is None else box.hi[c] - min(0, t * mu))
-        pw = _convolve(fld, pw, f.coeffs, _region_filter(rlo, rhi))
+        window = pk.window(*_ends(
+            [None if nu is None else a - max(0, t * nu)
+             for a, (_, nu) in zip(box.lo, bounds)],
+            [None if mu is None else b - min(0, t * mu)
+             for b, (mu, _) in zip(box.hi, bounds)]))
+        if window is None:
+            break
+        pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
         if not pw:
             break
+        pden *= fden
         ci = fld.coerce(cfn(i))
-        if ci == 0:
+        if ci == 0 or inbox is None:
             continue
-        for g, v in pw.items():
-            if box.contains(g):
-                acc[g] = acc.get(g, 0) + ci * v
+        d = ci.denominator * pden
+        if den % d:
+            scale = d // math.gcd(den, d)
+            acc = {s: v * scale for s, v in acc.items()}
+            get = acc.get
+            den *= scale
+        m = ci.numerator * (den // d)
+        low, high = inbox[:2]
+        for s, v in pw.items():
+            if (s + low) & guard == guard and (high - s) & guard == guard:
+                acc[s] = get(s, 0) + m * v
+    unpack = pk.unpack
+    coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
     elems = _bound_support_set(f)
-    cone = make_cone(f.order, zero_exp(k), elems)
-    return Series(ambient, fld.reduce(acc), box, cone)
+    cone = make_cone(f.order, zero, elems)
+    return Series(ambient, coeffs, box, cone)
 
 
 def substitute(c, f: Series, target_box=None) -> Series:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,6 @@ from gpseries.calculus import (
     wedge,
 )
 from gpseries.errors import BadVariableIndex, ZeroSeries
-from gpseries.exponents import int_matrix_inverse
 from gpseries.series import add, invert, mul, power
 
 from conftest import make_ambient, random_polynomial, random_unimodular, \
@@ -165,6 +165,23 @@ def test_leibniz_random():
         lhs = partial(mul(f, g), i)
         rhs = add(mul(f, partial(g, i)), mul(g, partial(f, i)))
         assert lhs.eq_within(rhs)
+
+
+def int_matrix_inverse(rows):
+    """Inverse of a nonsingular square integer matrix, as Fractions."""
+    n = len(rows)
+    m = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        d = m[col][col]
+        m[col] = [v / d for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [r[n:] for r in m]
 
 
 def _change_of_variables(rng, amb):

@@ -53,6 +53,25 @@ def test_rational_scalars_stay_int_until_a_division():
     assert QQ.power(2, -2) == Fraction(1, 4) and type(QQ.power(-1, -3)) is int
 
 
+def test_integral_fractions_become_ints():
+    half = AMB_Q.monomial(Fraction(1, 2), (0, 1))
+    for f in (mul(half, AMB_Q.constant(2)), add(half, half),
+              mul(invert(AMB_Q.constant(2) - AMB_Q.var(1), BOX), AMB_Q.constant(4))):
+        assert all(type(c) is int or c.denominator != 1 for c in f.coeffs.values())
+    assert type(mul(half, AMB_Q.constant(2)).coeffs[(0, 1)]) is int
+
+
+def test_integral_and_reduce_divide_once():
+    ints, den = QQ.integral({(0,): Fraction(1, 4), (1,): Fraction(-5, 6), (2,): 3})
+    assert den == 12 and ints == {(0,): 3, (1,): -10, (2,): 36}
+    assert QQ.reduce({(0,): 6, (1,): 0, (2,): 5}, 4) == {(0,): Fraction(3, 2),
+                                                         (2,): Fraction(5, 4)}
+    assert type(QQ.reduce({(0,): 8}, 4)[(0,)]) is int
+    f5 = PrimeField(5)
+    assert f5.integral({(0,): 3}) == ({(0,): 3}, 1)
+    assert f5.reduce({(0,): 3, (1,): 10}, 2) == {(0,): 4}  # 3 / 2 = 4 mod 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(lead=st.sampled_from((1, -1)), tail=tails, k=st.integers(0, 3))
 def test_unit_leading_coefficient_keeps_int_coefficients(lead, tail, k):

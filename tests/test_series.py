@@ -11,6 +11,7 @@ from gpseries import (
     Box,
     BoxNotContained,
     BoxUnderflow,
+    DimensionMismatch,
     GroupSplit,
     LeadingTermUncertain,
     NonPositiveSupportElement,
@@ -22,6 +23,7 @@ from gpseries import (
     parse_order,
 )
 from gpseries.series import (
+    _convolve,
     add,
     factorize,
     h_coefficient_at,
@@ -193,6 +195,15 @@ def test_coefficient_at():
         inv.coefficient_at((9, 9))
 
 
+def test_coefficient_at_checks_the_exponent_length():
+    f = AMB1.one() + AMB1.var(1)
+    g = invert(AMB1.var(1) + AMB1.var(2), Box((-4, -4), (4, 4)))
+    for s in (f, g):
+        for bad in ((0,), (0, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                s.coefficient_at(bad)
+
+
 def test_h_coefficient_at():
     amb = make_ambient(1, m=1)
     h = amb.monomial(1, (1, 0))
@@ -339,3 +350,104 @@ def test_mul_within_outside_certified_box_raises():
         mul_within(f, amb.var(2), Box((20, 20), (21, 21)))
     with pytest.raises(BoxUnderflow):
         mul_within(f, f, Box((-3, 0), (-1, 0)))
+
+
+def _in_region(g, region):
+    lo, hi = region
+    return all((a is None or a <= v) and (b is None or v <= b)
+               for v, a, b in zip(g, lo, hi))
+
+
+def _reference_convolution(fld, a, b, region):
+    """Every pair as a tuple sum, then the terms inside the region."""
+    out = {}
+    for g1, c1 in a.items():
+        for g2, c2 in b.items():
+            g = tuple(x + y for x, y in zip(g1, g2))
+            if region is None or _in_region(g, region):
+                out[g] = out.get(g, 0) + c1 * c2
+    return {g: fld.coerce(c) for g, c in out.items() if fld.coerce(c) != 0}
+
+
+def _assert_canonical(fld, coeffs):
+    for c in coeffs.values():
+        if fld is QQ:
+            assert isinstance(c, int) or c.denominator != 1
+        else:
+            assert isinstance(c, int) and 0 < c < fld.p
+
+
+@st.composite
+def _convolution_inputs(draw):
+    k = draw(st.integers(1, 3))
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    if fld is QQ:  # mixed denominators, made canonical by the field
+        scalar = st.builds(Fraction, st.integers(-9, 9),
+                           st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+    else:
+        scalar = st.integers(1, 4)
+    exps = st.tuples(*[st.integers(-6, 6)] * k)
+    maps = st.dictionaries(exps, scalar.map(fld.coerce), max_size=10).map(
+        lambda d: {g: c for g, c in d.items() if c})
+    end = st.none() | st.integers(-12, 12)
+    region = st.none() | st.tuples(st.tuples(*[end] * k), st.tuples(*[end] * k))
+    return fld, draw(maps), draw(maps), draw(region)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convolution_inputs())
+def test_convolve_matches_filtered_tuple_convolution(inputs):
+    fld, a, b, region = inputs
+    out = _convolve(fld, a, b, region)
+    assert out == _reference_convolution(fld, a, b, region)
+    _assert_canonical(fld, out)
+
+
+def test_convolve_beyond_machine_words():
+    big = 2 ** 70
+    a = {(big, -3): Fraction(1, 3), (0, 5): 2, (-big // 4, 0): 7,
+         (1, 2 ** 66): Fraction(-5, 2)}
+    b = {(big, 1): 5, (3, -(2 ** 66)): Fraction(3, 4), (0, 0): -1}
+    for region in [((None, None), (None, None)),
+                   ((0, -10), (None, 10)),
+                   ((-big, None), (big, 0)),
+                   ((big // 2, None), (None, None)),
+                   ((3, 0), (3, 0))]:
+        out = _convolve(QQ, a, b, region)
+        assert out == _reference_convolution(QQ, a, b, region)
+        _assert_canonical(QQ, out)
+    # six of the twelve pairs land at or past big / 2 in coordinate 0
+    assert len(_convolve(QQ, a, b, ((big // 2, None), (None, None)))) == 6
+
+
+@st.composite
+def _substitution_inputs(draw):
+    k = draw(st.integers(1, 3))
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    amb = make_ambient(k, field=fld)
+    # lex-positive exponents: the first nonzero coordinate is positive
+    exp = st.tuples(*[st.integers(-3, 3)] * k).filter(
+        lambda g: any(g) and next(v for v in g if v) > 0)
+    scalar = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(exp, scalar, min_size=1, max_size=4))
+    f = amb.series(terms)
+    c = draw(st.lists(scalar.map(fld.coerce), min_size=1, max_size=5))
+    lo = draw(st.tuples(*[st.integers(-6, 3)] * k))
+    box = Box(lo, tuple(v + draw(st.integers(0, 6)) for v in lo))
+    return amb, c, f, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(_substitution_inputs())
+def test_substitute_matches_truncated_polynomial(inputs):
+    amb, c, f, box = inputs
+    if f.is_zero():  # every coefficient of f vanished in F_5
+        return
+    expected = amb.zero()
+    for ci in reversed(c):  # Horner: sum c_i f^i
+        expected = add(mul(expected, f), amb.constant(ci))
+    out = substitute(c, f, box)
+    assert out.box == box
+    assert out.coeffs == {g: v for g, v in expected.coeffs.items()
+                          if box.contains(g)}
+    _assert_canonical(amb.field, out.coeffs)
