@@ -44,14 +44,12 @@ from .series import (
     Series,
     add,
     coefficient_at,
-    constant_scalar,
     factorize,
     h_coefficient_at,
     invert,
     log1p,
     mul,
     mul_within,
-    multiplicity_exponent,
     power,
     series_from_json,
     series_to_json,

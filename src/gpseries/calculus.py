@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 from .errors import BadVariableIndex, IncompatibleAmbient, ZeroSeries
 from .exponents import exp_sub
-from .series import Ambient, Series, add, h_coefficient_at, invert, mul
+from .series import (
+    Ambient,
+    Series,
+    add,
+    h_coefficient_at,
+    invert,
+    mul,
+    series_from_json,
+    series_to_json,
+)
 
 DX = "dX"
 DLOGX = "dlogX"
@@ -173,14 +182,12 @@ def form_h_coefficient(w: NForm, monomial_exps, basis_mode: str = DLOGX) -> Seri
 
 
 def nform_to_json(w: NForm) -> dict:
-    from .series import series_to_json
     data = series_to_json(w.coeff)
     data["basis"] = w.basis_mode
     return data
 
 
 def nform_from_json(data: dict) -> NForm:
-    from .series import series_from_json
     basis = data.get("basis", DX)
     stripped = {k: v for k, v in data.items() if k != "basis"}
     return NForm(series_from_json(stripped), basis)

@@ -343,13 +343,14 @@ def _h_series_text(f: Series, cfg: SessionConfig) -> str:
     return format_series(f, cfg)
 
 
-def _cmd_eval(args, cfg):
-    f = evaluate(parse(args.expr), cfg)
-    if args.json:
-        print(json.dumps(series_to_json(f)))
-    else:
-        print(format_series(f, cfg))
+def _show(args, cfg: SessionConfig, f: Series, text) -> int:
+    """Print f as JSON under --json, else as ``text(f, cfg)``."""
+    print(json.dumps(series_to_json(f)) if args.json else text(f, cfg))
     return 0
+
+
+def _cmd_eval(args, cfg):
+    return _show(args, cfg, evaluate(parse(args.expr), cfg), format_series)
 
 
 def _check_count(flag: str, values, cfg: SessionConfig):
@@ -363,33 +364,19 @@ def _cmd_coeff(args, cfg):
     at = _flag_ints("--at", args.at)
     _check_count("--at", at, cfg)
     f = evaluate(parse(args.expr), cfg)
-    c = h_coefficient_at(f, at)
-    if args.json:
-        print(json.dumps(series_to_json(c)))
-    else:
-        print(_h_series_text(c, cfg))
-    return 0
+    return _show(args, cfg, h_coefficient_at(f, at), _h_series_text)
 
 
 def _cmd_ct(args, cfg):
     f = evaluate(parse(args.expr), cfg)
-    c = h_coefficient_at(f, (0,) * cfg.n)
-    if args.json:
-        print(json.dumps(series_to_json(c)))
-    else:
-        print(_h_series_text(c, cfg))
-    return 0
+    return _show(args, cfg, h_coefficient_at(f, (0,) * cfg.n), _h_series_text)
 
 
 def _cmd_residue(args, cfg):
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
     r = jacobi_coefficient(psi, params, (0,) * cfg.n, cfg.box)
-    if args.json:
-        print(json.dumps(series_to_json(r)))
-    else:
-        print(_h_series_text(r, cfg))
-    return 0
+    return _show(args, cfg, r, _h_series_text)
 
 
 def _cmd_represent(args, cfg):
@@ -417,16 +404,23 @@ def _cmd_dyson(args, _cfg):
     return 0
 
 
+# The global flags are valid before and after the subcommand.  They have
+# no argparse default, which a subcommand would write over a value given
+# before it; ``run`` parses into a namespace that holds these defaults.
+_GLOBAL_DEFAULTS = {"order": None, "vars": "X", "hdim": 0, "field": "q",
+                   "box": None, "json": False}
+
+
 def build_argparser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", default=None,
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--order",
                         help='order matrix rows, e.g. "1,0;0,1" (default: lex)')
-    common.add_argument("--vars", default="X",
-                        help="comma-separated variable names")
-    common.add_argument("--hdim", type=int, default=0,
+    common.add_argument("--vars", help="comma-separated variable names")
+    common.add_argument("--hdim", type=int,
                         help="number of leading coefficient-group coordinates")
-    common.add_argument("--field", default="q", help='"q" or "fp:<p>"')
-    common.add_argument("--box", default=None,
+    common.add_argument("--field", help='"q" or "fp:<p>"')
+    common.add_argument("--box",
                         help='exactness box "lo..hi,lo..hi,..." over all coordinates')
     common.add_argument("--json", action="store_true", help="JSON output")
     ap = argparse.ArgumentParser(
@@ -476,7 +470,7 @@ GRAMMAR_HELP = __doc__[__doc__.index("Grammar:"):]
 def run(argv) -> int:
     ap = build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -492,7 +486,7 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BoxUnderflow as e:
-        if args.needs_cfg and getattr(args, "box", None) is None:
+        if args.needs_cfg and args.box is None:
             print(f"error: {e}; pass --box to choose a truncation window",
                   file=sys.stderr)
             return 2

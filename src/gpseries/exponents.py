@@ -333,8 +333,10 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
     return total
 
 
-def certify_cone_below(order: TermOrder, cone: Cone, bound, box,
-                       budget: int = 200_000) -> bool:
+_CERTIFY_BUDGET = 200_000  # cone points visited before certification gives up
+
+
+def certify_cone_below(order: TermOrder, cone: Cone, bound, box) -> bool:
     """Check that every cone point strictly below ``bound`` lies in ``box``.
 
     ``bound`` may be None, meaning check all cone points.  Enumeration walks
@@ -343,6 +345,7 @@ def certify_cone_below(order: TermOrder, cone: Cone, bound, box,
     escapes the box or the enumeration budget is exhausted (the certificate
     then fails, it never lies).
     """
+    budget = _CERTIFY_BUDGET
     if box is not None:
         budget = min(budget, 4 * box.lattice_count() * (len(cone.generators) + 1) + 64)
     bound_key = order.key(bound) if bound is not None else None

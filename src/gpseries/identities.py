@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .calculus import jacobian, partial
 from .errors import BadDimension
 from .exponents import (
     Box,
@@ -135,7 +136,6 @@ def wilson_wedge_check(n: int) -> bool:
     with scalar 1, verified as the equivalent exact Laurent identity
     J(X_1, P_2, ..., P_n) * P_1 * X_2...X_n = (n-1)! * P_2...P_n
     where P_i = prod_{j != i}(1 - X_i/X_j) = 1/Phi_i."""
-    from .calculus import jacobian
     ambient = _wilson_ambient(n)
     ps = [_cross_product(ambient, i) for i in range(1, n + 1)]
     jac = jacobian([ambient.var(1)] + ps[1:])
@@ -218,7 +218,6 @@ def cramer_identity_check(n: int) -> bool:
 
 def euler_identity_check(n: int) -> bool:
     """sum_i X_i dDelta/dX_i = C(n,2) Delta exactly."""
-    from .calculus import partial
     ambient = _egorychev_ambient(n)
     delta = vandermonde_delta(ambient)
     total = ambient.zero()
@@ -230,7 +229,6 @@ def euler_identity_check(n: int) -> bool:
 def egorychev_wedge_check(n: int) -> bool:
     """X_1...X_n J(Upsilons) = (n!(n-1)/2) Upsilon_1...Upsilon_n, the exact
     polynomial form of dlog Upsilon = (n!(n-1)/2) dlog X."""
-    from .calculus import jacobian
     ambient = _egorychev_ambient(n)
     ups = [_upsilon(ambient, i) for i in range(1, n + 1)]
     lhs = jacobian(ups)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .calculus import DLOGX, NForm, dlog_wedge
+from .calculus import DLOGX, NForm, dlog_wedge, nform_from_json, nform_to_json
 from .errors import (
     BoxUnderflow,
     IncompatibleAmbient,
@@ -21,7 +21,18 @@ from .errors import (
     OutsideBox,
 )
 from .exponents import Box, exp_add, int_det, zero_exp
-from .series import Ambient, Series, add, factorize, mul, power
+from .series import (
+    Ambient,
+    Series,
+    add,
+    factorize,
+    h_box,
+    h_coefficient_at,
+    mul,
+    power,
+    series_from_json,
+    series_to_json,
+)
 
 
 def multiplicities(f: Series):
@@ -98,7 +109,6 @@ def fraction_equiv(f1: GeneralizedFraction, f2: GeneralizedFraction) -> bool:
 def residue(fr: GeneralizedFraction) -> Series:
     """H-coefficient at X^0 of the normalized numerator in dlog X mode."""
     coeff = _normalized_numerator(fr)
-    from .series import h_coefficient_at
     return h_coefficient_at(coeff, zero_exp(fr.ambient.split.n))
 
 
@@ -143,21 +153,10 @@ def _jacobi_in_box(psi: Series, p: ParameterSystem, idx,
     for f, i in zip(p.members, idx):
         if i:
             factors.append(power(f, -i, working_box))
-    # multiply truncated factors first: an exact factor's derived cone can
-    # have generators pointing below, which spoils later certifications
-    factors.sort(key=lambda s: s.box is None)
     num = factors[0]
     for f in factors[1:]:
         num = mul(num, f)
     return residue(GeneralizedFraction(NForm(num), p))
-
-
-def _h_box_of(f: Series):
-    if f.box is None:
-        return None
-    split = f.split
-    zeros = (0,) * split.n
-    return Box(f.box.lo[:split.m] + zeros, f.box.hi[:split.m] + zeros)
 
 
 def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:
@@ -200,7 +199,6 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                 hhi[c] = max(hhi[c], hhi[c] - b[c])
         h_points = list(Box(tuple(hlo) + (0,) * split.n,
                             tuple(hhi) + (0,) * split.n).points())
-        h_points = [h[:split.m] + (0,) * split.n for h in h_points]
     else:
         h_points = [zero_exp(order.k)]
 
@@ -214,12 +212,10 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
 
     # units U_idx = prod (1 + tail_l)^{i_l}, expanded where differences live
     if working_box is None:
-        xs = list(candidates)
-        wlo = tuple(min(min(x[c] - y[c] for x in xs for y in xs), 0)
-                    for c in range(order.k))
-        whi = tuple(max(max(x[c] - y[c] for x in xs for y in xs), 0)
-                    for c in range(order.k))
-        working_box = Box(wlo, whi)
+        # per coordinate, x - y ranges over [min - max, max - min]
+        ext = [(min(col), max(col)) for col in zip(*candidates)]
+        working_box = Box(tuple(a - b for a, b in ext),
+                          tuple(b - a for a, b in ext))
     units = {}
     member_powers = []
     for (a, g, tail) in p.leading:
@@ -262,7 +258,7 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                 acc = acc - ay * lead_consts[idx_y] * c
         solved[x] = fld.coerce(acc * fld.inv(lead_consts[idx]))
 
-    out_box = _h_box_of(psi)
+    out_box = h_box(psi)
     result = {}
     for idx in base:
         coeffs = {}
@@ -276,8 +272,6 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
 
 
 def fraction_to_json(fr: GeneralizedFraction) -> dict:
-    from .calculus import nform_to_json
-    from .series import series_to_json
     return {
         "numerator": nform_to_json(fr.numerator),
         "denominator": [series_to_json(f) for f in fr.denominator.members],
@@ -285,8 +279,6 @@ def fraction_to_json(fr: GeneralizedFraction) -> dict:
 
 
 def fraction_from_json(data: dict) -> GeneralizedFraction:
-    from .calculus import nform_from_json
-    from .series import series_from_json
     members = [series_from_json(d) for d in data["denominator"]]
     return GeneralizedFraction(nform_from_json(data["numerator"]),
                                check_parameters(members))

@@ -1,5 +1,7 @@
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,36 @@ def test_ct_equals_coeff_at_zero(capsys):
         zeros = "0,0" if "Y" in expr else "0"
         assert run(["coeff", expr, "--at", zeros] + extra) == 0
         assert capsys.readouterr().out == ct_out
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["--field", "fp:5", "coeff", "(1+X)^5", "--at", "2"], "0\n"),
+    (["--vars", "X,Y", "ct", "(1-X/Y)*(1-Y/X)"], "2\n"),
+    (["--json", "dyson", "--a", "1,1"],
+     '{"lhs": "2", "rhs": "2", "equal": true}\n'),
+    (["--box=0..5", "eval", "1/(1-X)"], "1 + X + X^2 + X^3 + X^4 + X^5\n"),
+    # the same flag on both sides: the value after the subcommand wins
+    (["--field", "q", "coeff", "(1+X)^5", "--at", "2", "--field", "fp:5"],
+     "0\n"),
+], ids=["field", "vars", "json", "box", "both-sides"])
+def test_global_flag_before_subcommand(capsys, argv, out):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("gpseries "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    assert examples
+    for argv, expected in examples:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == expected, argv
 
 
 # -- exit-code contract ------------------------------------------------------

@@ -329,10 +329,11 @@ def test_mul_within_reads_only_the_target():
     f = invert(amb.one() - X + Y.scale(2), Box((0, 0), (8, 8)))
     g = amb.one() + X.scale(3) - mul(X, Y) + Y ** 2
     full = mul(f, g)
-    for point in [(0, 0), (3, 2), full.box.hi]:
-        one = mul_within(f, g, Box(point, point))
+    for a, b, point in [(f, g, (0, 0)), (f, g, (3, 2)), (f, g, full.box.hi),
+                        (g, g, (2, 2))]:
+        one = mul_within(a, b, Box(point, point))
         assert one.box == Box(point, point)
-        assert one.coefficient_at(point) == full.coefficient_at(point)
+        assert one.coefficient_at(point) == mul(a, b).coefficient_at(point)
     target = Box((2, -3), (12, 5))
     part = mul_within(f, g, target)
     assert part.box == Box((2, 0), (8, 5))
