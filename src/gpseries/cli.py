@@ -242,8 +242,10 @@ def _flag_ranges(flag: str, text: str):
 def config_from_args(args) -> SessionConfig:
     var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not var_names:
-        raise ParseError("no variables declared", 1, 1, ("name",))
+        raise FlagError(f"--vars: no variable names in {args.vars!r}")
     m = args.hdim
+    if m < 0:
+        raise FlagError(f"--hdim: expected m >= 0, got {m}")
     k = m + len(var_names)
     try:
         order = lex_order(k) if args.order is None else parse_order(args.order)
@@ -260,8 +262,7 @@ def config_from_args(args) -> SessionConfig:
     if args.box is not None:
         box = Box(*_flag_ranges("--box", args.box))
         if box.k != k:
-            raise ParseError(f"box has {box.k} coordinates, expected {k}",
-                             1, 1, ())
+            raise FlagError(f"--box: {box.k} coordinates, expected m + n = {k}")
     return SessionConfig(ambient, var_names, box)
 
 
@@ -406,7 +407,8 @@ def _cmd_dyson(args, _cfg):
 
 # The global flags are valid before and after the subcommand.  They have
 # no argparse default, which a subcommand would write over a value given
-# before it; ``run`` parses into a namespace that holds these defaults.
+# before it; ``run`` fills these defaults in after parsing, and refuses
+# every global flag but --json for a subcommand that takes no session.
 _GLOBAL_DEFAULTS = {"order": None, "vars": "X", "hdim": 0, "field": "q",
                    "box": None, "json": False}
 
@@ -470,10 +472,15 @@ GRAMMAR_HELP = __doc__[__doc__.index("Grammar:"):]
 def run(argv) -> int:
     ap = build_argparser()
     try:
-        args = ap.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+        args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    given = [key for key in _GLOBAL_DEFAULTS
+             if key != "json" and hasattr(args, key)]
+    args = argparse.Namespace(**{**_GLOBAL_DEFAULTS, **vars(args)})
     try:
+        if given and not args.needs_cfg:
+            raise FlagError(f"{args.command} does not take --{given[0]}")
         cfg = config_from_args(args) if args.needs_cfg else None
         return args.fn(args, cfg)
     except ParseError as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .calculus import DLOGX, NForm, dlog_wedge, nform_from_json, nform_to_json
+from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
 from .errors import (
     BoxUnderflow,
     IncompatibleAmbient,
@@ -29,6 +29,7 @@ from .series import (
     h_box,
     h_coefficient_at,
     mul,
+    mul_within,
     power,
     series_from_json,
     series_to_json,
@@ -149,13 +150,28 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
 
 def _jacobi_in_box(psi: Series, p: ParameterSystem, idx,
                    working_box: Box) -> Series:
-    factors = [dlog_wedge(list(p.members), working_box).coeff, psi]
-    for f, i in zip(p.members, idx):
-        if i:
-            factors.append(power(f, -i, working_box))
-    num = factors[0]
-    for f in factors[1:]:
+    """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
+    numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
+    only the X^-1 slab: the last product is computed there alone."""
+    num, *middle, last = [psi, jacobian(p.members)] + [
+        power(f, -i - 1, working_box) for f, i in zip(p.members, idx)]
+    for f in middle:
         num = mul(num, f)
+    if num.box is None and last.box is None:
+        num = mul(num, last)  # exact everywhere, and so is the answer
+    else:
+        # H coordinates over the sum of the operands' box (exact: key)
+        # extents; mul_within cuts them to the certified product box
+        m = p.ambient.split.m
+        lo, hi = [0] * m, [0] * m
+        for s in (num, last):
+            ext = zip(s.box.lo, s.box.hi) if s.box is not None else \
+                ((min(col), max(col)) for col in zip(*s.coeffs))
+            for c, (a, b) in zip(range(m), ext):
+                lo[c] += a
+                hi[c] += b
+        slab = Box(tuple(lo) + (-1,) * p.n, tuple(hi) + (-1,) * p.n)
+        num = mul_within(num, last, slab)
     return residue(GeneralizedFraction(NForm(num), p))
 
 

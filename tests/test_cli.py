@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gpseries.cli import (
+    FlagError,
     SessionConfig,
     config_from_args,
     evaluate,
@@ -205,11 +206,21 @@ def test_bad_box_with_box_given_exits_one(capsys):
     (["coeff", "X", "--at", "1,2"], "--at"),
     (["represent", "X", "--params", "X+X^2", "--degrees", "1..2,1..3",
       "--box=-10..10"], "--degrees"),
+    (["--hdim", "-1", "eval", "X"], "--hdim"),
+    (["eval", "X", "--box=0..1,0..1"], "--box"),
+    (["--vars", ",", "eval", "X"], "--vars"),
+    # dyson takes no session: every global flag but --json is refused
+    (["--field", "fp:5", "dyson", "--a", "1,1,1"], "dyson does not take --field"),
+    (["dyson", "--a", "1,1,1", "--vars", "X,Y"], "dyson does not take --vars"),
+    (["--order", "1", "dyson", "--a", "1,1,1"], "dyson does not take --order"),
+    (["dyson", "--a", "1,1,1", "--hdim", "0"], "dyson does not take --hdim"),
+    (["dyson", "--a", "1,1,1", "--box=0..1"], "dyson does not take --box"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and captured.out == ""
+    assert "Grammar:" not in captured.err  # a usage error, not a parse error
 
 
 def test_large_prime_field_answers(capsys):
@@ -241,5 +252,5 @@ def test_json_dyson(capsys):
 def test_config_box_dimension_check():
     ap_args = type("A", (), {"vars": "X,Y", "hdim": 0, "order": None,
                              "field": "q", "box": "0..1"})
-    with pytest.raises(ParseError):
+    with pytest.raises(FlagError, match="--box"):
         config_from_args(ap_args)

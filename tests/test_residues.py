@@ -6,8 +6,10 @@ import pytest
 from gpseries import Box, PrimeField, QQ
 from gpseries.calculus import DLOGX, NForm, dlog_wedge
 from gpseries.errors import NotParameters, NotRegular, ZeroSeries
+from gpseries.exponents import box_intersect
 from gpseries.residues import (
     GeneralizedFraction,
+    _default_working_box,
     check_parameters,
     fraction_equiv,
     fraction_from_json,
@@ -201,6 +203,63 @@ def test_jacobi_unit_scaling_invariance():
     r1 = jacobi_coefficient(psi, p1, (0,))
     r2 = jacobi_coefficient(psi, p2, (0,))
     assert r1.coefficient_at((0,)) == r2.coefficient_at((0,)) == 4
+
+
+def test_jacobi_exact_inputs_stay_exact():
+    # every factor is exact, so the answer is exact everywhere, not a slab
+    r = jacobi_coefficient(AMB.one() + mul(X1, X2), check_parameters([X1, X2]),
+                           (1, 1))
+    assert r.box is None and r.coeffs == {(0, 0): 1}
+
+
+def _full_chain(psi, p, idx, box):
+    """The coefficient by the whole chain over ``box``: the residue of
+    psi * dlog Phi_1 ^ ... ^ dlog Phi_n * prod Phi_l^-i_l."""
+    num = mul(psi, dlog_wedge(list(p.members), box).coeff)
+    for f, i in zip(p.members, idx):
+        num = mul(num, power(f, -i, box))
+    return residue(GeneralizedFraction(NForm(num), p))
+
+
+def _h_systems(amb):
+    """The m = 1 system of test_represent_round_trip_with_h_part, and one
+    whose coefficients have infinite H-support, so that a box wider than
+    the exact region shows."""
+    x, t = amb.var(1), amb.monomial(1, (1, 0))
+    idxs = [(i,) for i in range(4)]
+    phi = mul(x, amb.one() + mul(t, x))
+    psi = add(mul(amb.constant(2) + t, phi), mul(phi, phi).scale(-3))
+    yield psi, check_parameters([phi]), idxs
+    phi = mul(x, amb.one() + t + mul(t, x))
+    yield add(x, mul(x, x).scale(2)), check_parameters([phi]), idxs
+
+
+def _slab_cases(field):
+    rng = random.Random(37)
+    amb = make_ambient(2, field=field)
+    for det2 in (False, True, False, True):
+        p = _random_regular_system(rng, amb, 2)
+        if det2:
+            p = check_parameters([p.members[0] ** 2, p.members[1]])
+        psi = add(random_unit_series(rng, amb), mul(*p.members).scale(3))
+        yield psi, p, [(0, 0), (1, 0), (2, 1)]
+    yield from _h_systems(make_ambient(1, m=1, field=field))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_jacobi_slab_agrees_with_full_chain(field):
+    for psi, p, idxs in _slab_cases(field):
+        for idx in idxs:
+            got = jacobi_coefficient(psi, p, idx)
+            box = _default_working_box(p, idx, 2)
+            full = _full_chain(psi, p, idx, box)
+            assert box_intersect(got.box, full.box) is not None
+            assert got.eq_within(full), (p.det, idx)
+            # the certified box of the slab is exact: a working box twice
+            # as wide agrees on all of it
+            wide = jacobi_coefficient(psi, p, idx, Box(
+                tuple(2 * v for v in box.lo), tuple(2 * v for v in box.hi)))
+            assert wide.box.contains_box(got.box) and got.eq_within(wide)
 
 
 def test_fraction_json_round_trip():

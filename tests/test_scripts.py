@@ -1,4 +1,4 @@
-"""The demo scripts run end to end and report agreement."""
+"""The demo scripts and `python -m gpseries` run end to end."""
 
 import os
 import subprocess
@@ -8,11 +8,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(*argv):
+def _run(*argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
-                           *argv[1:]], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _run_script(*argv):
+    return _run(str(ROOT / "scripts" / argv[0]), *argv[1:])
 
 
 def test_dyson_demo_agrees():
@@ -29,3 +32,9 @@ def test_reversion_demo_matches_lagrange_inversion():
     coeffs = [l for l in out.stdout.splitlines() if l.startswith("  a_")]
     assert len(coeffs) == 10
     assert all(l.endswith("  ok") for l in coeffs)
+
+
+def test_package_runs_as_module():
+    out = _run("-m", "gpseries", "dyson", "--a", "1,1,1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "lhs=6 rhs=6 equal=true\n"
