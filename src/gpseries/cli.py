@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,63 +49,43 @@ from .series import (
 
 _PUNCT = "+-*/^()"
 
+# "p/q" with no whitespace is a rational literal; a zero denominator falls
+# through to an int and series division.  Digits are ASCII: int() rejects
+# some characters that str.isdigit() accepts, such as "²".  The most
+# frequent tokens come first, which halves the time spent matching.
+_TOKEN = re.compile(rf"""
+    (?P<punct>[{re.escape(_PUNCT)}])
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<rational>[0-9]+/0*[1-9][0-9]*)
+  | (?P<int>[0-9]+)
+  | (?P<space>[^\S\n]+)
+  | (?P<newline>\n)
+  | (?P<bad>.)""", re.VERBOSE)
+
 
 def tokenize(text: str):
     """Yields (kind, value, line, col) with kind in
     {rational, int, ident, punct, eof}."""
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0
     out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            # "p/q" with no whitespace is a rational literal; a zero
-            # denominator falls through to series division
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) \
-                    and text[j + 1].isdigit():
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if int(text[j + 1:k]) != 0:
-                    out.append(("rational",
-                                Fraction(int(text[i:j]), int(text[j + 1:k])),
-                                line, start_col))
-                    col += k - i
-                    i = k
-                    continue
-            out.append(("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            out.append(("punct", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         ("digit", "identifier") + tuple(_PUNCT))
-    out.append(("eof", None, line, col))
+        val = m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", line, col,
+                             ("digit", "identifier") + tuple(_PUNCT))
+        else:
+            if kind == "rational":
+                val = Fraction(*map(int, val.split("/")))
+            elif kind == "int":
+                val = int(val)
+            out.append((kind, val, line, col))
+    out.append(("eof", None, line, len(text) - line_start + 1))
     return out
 
 
@@ -121,76 +102,60 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def accept(self, chars):
+        """Consume the next token and return its character if it is
+        punctuation in ``chars``; else None."""
+        kind, val = self.peek()[:2]
+        if kind == "punct" and val in chars:
+            self.pos += 1
+            return val
+        return None
 
     def fail(self, expected):
         kind, val, line, col = self.peek()
         what = "end of input" if kind == "eof" else repr(val)
         raise ParseError(f"unexpected {what}", line, col, expected)
 
-    def expect_punct(self, ch):
-        kind, val, line, col = self.peek()
-        if kind != "punct" or val != ch:
-            self.fail((ch,))
-        return self.take()
+    def binary(self, operand, ops):
+        """operand (op operand)*, left-associative, for op in ``ops``."""
+        node = operand()
+        while op := self.accept(ops):
+            node = (ops[op], node, operand())
+        return node
 
     def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("punct", "+"), ("punct", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+        return self.binary(self.term, {"+": "add", "-": "sub"})
 
     def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("punct", "*"), ("punct", "/")):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+        return self.binary(self.unary, {"*": "mul", "/": "div"})
 
     def unary(self):
-        if self.peek()[:2] == ("punct", "-"):
-            self.take()
+        if self.accept("-"):
             return ("neg", self.unary())
         return self.power()
 
     def power(self):
         node = self.atom()
-        if self.peek()[:2] == ("punct", "^"):
-            self.take()
-            sign = 1
-            if self.peek()[:2] == ("punct", "-"):
-                self.take()
-                sign = -1
-            kind, val, line, col = self.peek()
+        if self.accept("^"):
+            sign = -1 if self.accept("-") else 1
+            kind, val = self.peek()[:2]
             if kind != "int":
                 self.fail(("integer exponent",))
-            self.take()
+            self.pos += 1
             node = ("pow", node, sign * val)
         return node
 
     def atom(self):
-        kind, val, line, col = self.peek()
-        if kind == "rational":
-            self.take()
-            return ("num", val)
-        if kind == "int":
-            self.take()
-            return ("num", Fraction(val))
-        if kind == "ident":
-            self.take()
-            return ("var", val)
-        if kind == "punct" and val == "(":
-            self.take()
+        if self.accept("("):
             node = self.expr()
-            self.expect_punct(")")
+            if not self.accept(")"):
+                self.fail((")",))
             return node
-        self.fail(("number", "variable", "("))
+        kind, val = self.peek()[:2]
+        if kind not in ("rational", "int", "ident"):
+            self.fail(("number", "variable", "("))
+        self.pos += 1
+        return ("var", val) if kind == "ident" else ("num", Fraction(val))
 
 
 def parse(text: str):
@@ -214,12 +179,21 @@ class FlagError(GPSeriesError):
     """A malformed flag value: a usage error, exit code 2."""
 
 
+def _flag_value(flag: str, parse, text: str, expected: str):
+    """parse(text), where a value that the parser or the library rejects
+    is a FlagError for ``flag``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise FlagError(f"{flag}: expected {expected}, got {text!r}") from None
+    except GPSeriesError as e:
+        raise FlagError(f"{flag}: {e}") from None
+
+
 def _flag_ints(flag: str, text: str) -> tuple:
     """Parse "j1,j2,..." for ``flag``."""
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise FlagError(f"{flag}: expected integers, got {text!r}") from None
+    return _flag_value(flag, lambda t: tuple(int(v) for v in t.split(",")),
+                       text, "integers")
 
 
 def _flag_ranges(flag: str, text: str):
@@ -247,16 +221,11 @@ def config_from_args(args) -> SessionConfig:
     if m < 0:
         raise FlagError(f"--hdim: expected m >= 0, got {m}")
     k = m + len(var_names)
-    try:
-        order = lex_order(k) if args.order is None else parse_order(args.order)
-    except ValueError:
-        raise FlagError(f"--order: expected integer rows, got {args.order!r}") \
-            from None
-    try:
-        fld = field_from_name(args.field)
-    except ValueError:
-        raise FlagError(f"--field: expected q or fp:<prime>, got {args.field!r}") \
-            from None
+    order = lex_order(k) if args.order is None else _flag_value(
+        "--order", parse_order, args.order, "integer rows")
+    if order.k != k:
+        raise FlagError(f"--order: {order.k} rows, expected m + n = {k}")
+    fld = _flag_value("--field", field_from_name, args.field, "q or fp:<prime>")
     ambient = Ambient(GroupSplit(m, len(var_names)), order, fld)
     box = None
     if args.box is not None:

@@ -10,6 +10,7 @@ truncated series.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -198,32 +199,23 @@ def box_intersect(a, b):
     return Box(lo, hi)
 
 
-def _both(op, a, b):
-    """op(a, b) on bound ends, where None (unbounded) absorbs."""
-    return None if a is None or b is None else op(a, b)
-
-
-def _meet(op, a, b):
-    """op(a, b) on bound ends, where None (unbounded) yields to the other."""
-    return b if a is None else a if b is None else op(a, b)
-
-
 @dataclass(frozen=True)
 class Cone:
     """Support certificate: the true support of a series lies in
     offset + N-span(generators), each generator positive under the ambient
-    order, and inside the per-coordinate ``bounds`` ((lo, hi), ...), where a
-    None end is unbounded.
+    order, and inside the per-coordinate ``bounds`` ((lo, hi), ...), where an
+    unbounded end is -inf or inf.
 
     ``bounds`` is always intersected with the hull of the offset and the
     generators, so it defaults to that hull and is often tighter, e.g. after
     merging cones of exact summands, whose generators pick up spurious
-    directions.
+    directions.  A None end given to the constructor (or read from JSON,
+    which writes null) means unbounded and is stored as -inf or inf.
     """
 
     offset: Exponent
     generators: tuple  # tuple of Exponents, each > 0 under the ambient order
-    bounds: tuple = None  # tuple of (lo | None, hi | None) per coordinate
+    bounds: tuple = None  # (lo, hi) per coordinate, ends may be infinite
 
     def __post_init__(self):
         lo = list(self.offset)
@@ -231,18 +223,17 @@ class Cone:
         for g in self.generators:
             for c, v in enumerate(g):
                 if v > 0:
-                    hi[c] = None
+                    hi[c] = math.inf
                 elif v < 0:
-                    lo[c] = None
+                    lo[c] = -math.inf
         if self.bounds is not None:
-            lo = [_meet(max, a, b) for a, (b, _) in zip(lo, self.bounds)]
-            hi = [_meet(min, a, b) for a, (_, b) in zip(hi, self.bounds)]
+            lo = [a if b is None else max(a, b) for a, (b, _) in zip(lo, self.bounds)]
+            hi = [a if b is None else min(a, b) for a, (_, b) in zip(hi, self.bounds)]
         object.__setattr__(self, "bounds", tuple(zip(lo, hi)))
 
     def shift(self, v: Exponent) -> "Cone":
         return Cone(exp_add(self.offset, v), self.generators, tuple(
-            (_both(operator.add, lo, d), _both(operator.add, hi, d))
-            for (lo, hi), d in zip(self.bounds, v)))
+            (lo + d, hi + d) for (lo, hi), d in zip(self.bounds, v)))
 
 
 def make_cone(order: TermOrder, offset: Exponent, generators,
@@ -273,7 +264,7 @@ def cone_union(order: TermOrder, c1, c2):
     gens = list(c1.generators) + list(c2.generators)
     gens += [exp_sub(off, offset) for off in (c1.offset, c2.offset)]
     return make_cone(order, offset, gens, tuple(
-        (_both(min, l1, l2), _both(max, u1, u2))
+        (min(l1, l2), max(u1, u2))
         for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
@@ -281,7 +272,7 @@ def cone_sum(order: TermOrder, c1: Cone, c2: Cone) -> Cone:
     """Certificate for a product: the Minkowski sum of the two cones."""
     return make_cone(
         order, exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
-        tuple((_both(operator.add, l1, l2), _both(operator.add, u1, u2))
+        tuple((l1 + l2, u1 + u2)
               for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
@@ -345,9 +336,6 @@ def certify_cone_below(order: TermOrder, cone: Cone, bound, box) -> bool:
     escapes the box or the enumeration budget is exhausted (the certificate
     then fails, it never lies).
     """
-    budget = _CERTIFY_BUDGET
-    if box is not None:
-        budget = min(budget, 4 * box.lattice_count() * (len(cone.generators) + 1) + 64)
     bound_key = order.key(bound) if bound is not None else None
     seen = {cone.offset}
     frontier = [cone.offset]
@@ -355,7 +343,7 @@ def certify_cone_below(order: TermOrder, cone: Cone, bound, box) -> bool:
     while frontier:
         pt = frontier.pop()
         visited += 1
-        if visited > budget:
+        if visited > _CERTIFY_BUDGET:
             return False
         if bound_key is not None and order.key(pt) >= bound_key:
             continue

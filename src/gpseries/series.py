@@ -6,7 +6,9 @@ the true coefficients of the represented element of kappa[[e^G]].  A box of
 ``None`` means Everywhere: the series is exactly the stored finite sum.
 Truncated series additionally carry a cone certificate bounding the true
 support (``exponents.Cone``: offset, generators and per-coordinate bounds),
-which is what makes inversion and substitution terminate.
+which is what makes inversion and substitution terminate.  An unbounded end,
+of a cone's bounds or of a ``_convolve`` region, is -inf or inf throughout;
+only JSON writes it as null.
 """
 
 from __future__ import annotations
@@ -93,8 +95,7 @@ class Ambient:
             if box is not None and not box.contains(g):
                 raise OutsideBox(f"term {g} lies outside the box")
             if cone is not None and any(
-                    lo is not None and v < lo or hi is not None and v > hi
-                    for v, (lo, hi) in zip(g, cone.bounds)):
+                    v < lo or v > hi for v, (lo, hi) in zip(g, cone.bounds)):
                 raise OutsideBox(f"term {g} lies outside the cone bounds")
             clean[g] = c
         return Series(self, clean, box, cone)
@@ -184,12 +185,7 @@ class Series:
         return self.scale(-1)
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers need a target box; use power()")
-        out = self.ambient.one()
-        for _ in range(k):
-            out = mul(out, self)
-        return out
+        return power(self, k)
 
     def eq_within(self, other, box=None) -> bool:
         """Coefficientwise equality on the common exactness box."""
@@ -344,16 +340,10 @@ def _reach(keys, ext, lo, hi) -> dict:
             if all(map(le, rlo, g)) and all(map(le, g, rhi))}
 
 
-def _ends(lo, hi):
-    """A region's corners with each None end made infinite."""
-    return (tuple(-math.inf if v is None else v for v in lo),
-            tuple(math.inf if v is None else v for v in hi))
-
-
 def _convolve(fld, a: dict, b: dict, region=None) -> dict:
     """Coefficient convolution of two coefficient maps, restricted to the
-    result exponents inside ``region`` = (lo, hi), where a None end is
-    unbounded; the field reduces each result term once.
+    result exponents inside ``region`` = (lo, hi), whose ends may be
+    infinite; the field reduces each result term once.
 
     With a region, each operand is first cut to the terms that the other
     can carry into it, exponents are packed for the pair loop and unpacked
@@ -376,7 +366,7 @@ def _convolve(fld, a: dict, b: dict, region=None) -> dict:
                 g = tuple(map(plus, g1, g2))
                 out[g] = get(g, 0) + c1 * c2
         return fld.reduce(out)
-    lo, hi = _ends(*region)
+    lo, hi = region
     a = _reach(a, _key_extents(b), lo, hi)
     if not a:
         return {}
@@ -430,8 +420,8 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
     """The box in which the product of f and g (not both exact) is
     certified: every pair that can land there is stored in the operands."""
     k = f.order.k
-    tlo = [None] * k  # None = unbounded
-    thi = [None] * k
+    lo = [-math.inf] * k
+    hi = [math.inf] * k
     for mine, mine_bounds, other_bounds in ((f, c1.bounds, c2.bounds),
                                             (g, c2.bounds, c1.bounds)):
         if mine.box is None:
@@ -440,36 +430,30 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
             mlo, mhi = mine_bounds[c]
             olo, ohi = other_bounds[c]
             # every contributing exponent of `mine` must be >= its box.lo
-            if mlo is None or mlo < mine.box.lo[c]:
-                if ohi is None:
+            if mlo < mine.box.lo[c]:
+                if ohi == math.inf:
                     raise BoxUnderflow(
                         f"cannot certify coordinate {c}: unbounded overlap below")
-                cand = mine.box.lo[c] + ohi
-                if tlo[c] is None or cand > tlo[c]:
-                    tlo[c] = cand
+                lo[c] = max(lo[c], mine.box.lo[c] + ohi)
             # ... and <= its box.hi
-            if mhi is None or mhi > mine.box.hi[c]:
-                if olo is None:
+            if mhi > mine.box.hi[c]:
+                if olo == -math.inf:
                     raise BoxUnderflow(
                         f"cannot certify coordinate {c}: unbounded overlap above")
-                cand = mine.box.hi[c] + olo
-                if thi[c] is None or cand < thi[c]:
-                    thi[c] = cand
-    # a None end means any bound in that direction is certifiable; fall back
-    # to the sum of the operands' box (or, if exact, key) extents
+                hi[c] = min(hi[c], mine.box.hi[c] + olo)
+    # an infinite end means any bound in that direction is certifiable; fall
+    # back to the sum of the operands' box (or, if exact, key) extents
     fb_lo = [0] * k
     fb_hi = [0] * k
     for s, cone in ((f, c1), (g, c2)):
         ext = zip(s.box.lo, s.box.hi) if s.box is not None else cone.bounds
-        for c, (lo, hi) in enumerate(ext):
-            fb_lo[c] += lo
-            fb_hi[c] += hi
-    lo = list(tlo)
-    hi = list(thi)
+        for c, (a, b) in enumerate(ext):
+            fb_lo[c] += a
+            fb_hi[c] += b
     for c in range(k):
-        if lo[c] is None:
-            lo[c] = fb_lo[c] if hi[c] is None else min(fb_lo[c], hi[c])
-        if hi[c] is None:
+        if lo[c] == -math.inf:
+            lo[c] = min(fb_lo[c], hi[c])
+        if hi[c] == math.inf:
             hi[c] = max(fb_hi[c], lo[c])
         if lo[c] > hi[c]:
             raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
@@ -580,43 +564,50 @@ def _bound_support_set(f: Series):
         "cone offset is not positive; cannot bound powers of this series")
 
 
-def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
-    """Exact-in-box evaluation of sum_i cfn(i) * f^i for positive f.
+def _times(t: int, v):
+    """t * v for a factor count t >= 0 and a bound end v.  An infinite end
+    stays infinite, also for t = 0, where 0 * inf would be nan."""
+    return v if abs(v) == math.inf else t * v
 
-    Powers are accumulated with pruning: after i factors, only exponents
-    that can still reach the box with the remaining i_max - i factors are
-    kept.  When f is truncated, the window of exponents any single factor
-    can contribute must be covered by f's box.  The base is packed once, in
-    one layout wide enough for every step, and the running power stays
-    packed through all i_max steps; over Q it stays an int map over the
-    base's denominator to the i-th power, and the sum is divided once.
-    Calling ``_convolve`` at each step instead, which packs and unpacks
-    both operands every time, cut the benchmark's jacobi-recovery from
-    118-132 to 96-99 cases/s and raised its dyson-routes p50 from 0.49-0.53
-    to 0.70-0.78 ms (seeds 1-3).
+
+def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
+    """Exact-in-box evaluation of sum_i cfn(i) * f^i, i <= i_cap, for f
+    whose support the caller has proven positive.
+
+    The number of powers that can reach the box is bounded by
+    ``power_exhaustion_bound`` over ``_bound_support_set(f)``, which also
+    generates the result's cone.  Powers are accumulated with pruning: after
+    i factors, only exponents that can still reach the box with the
+    remaining i_max - i factors are kept.  When f is truncated, the window
+    of exponents any single factor can contribute must be covered by f's
+    box.  The base is packed once, in one layout wide enough for every step,
+    and the running power stays packed through all i_max steps; over Q it
+    stays an int map over the base's denominator to the i-th power, and the
+    sum is divided once.  Calling ``_convolve`` at each step instead, which
+    packs and unpacks both operands every time, cut the benchmark's
+    jacobi-recovery from 118-132 to 96-99 cases/s and raised its
+    dyson-routes p50 from 0.49-0.53 to 0.70-0.78 ms (seeds 1-3).
     """
     ambient = f.ambient
     fld = f.field
-    k = f.order.k
-    bounds = ((0, 0),) * k if f.is_zero() else _effective_cone(f).bounds
+    order = f.order
+    k = order.k
+    elems = _bound_support_set(f)
+    i_max = min(i_cap, power_exhaustion_bound(order, elems, box))
+    # every pair sums at most i_max terms of f, and the origin is 0
+    ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
+    bounds = ext if f.box is None else f.cone.bounds
     if f.box is not None and i_max >= 1:
-        for c in range(k):
-            mu, nu = bounds[c]
-            wlo = None if nu is None else box.lo[c] - max(0, (i_max - 1) * nu)
-            whi = None if mu is None else box.hi[c] - min(0, (i_max - 1) * mu)
-            if mu is not None and (wlo is None or mu > wlo):
-                wlo = mu
-            if nu is not None and (whi is None or nu < whi):
-                whi = nu
-            if wlo is not None and whi is not None and wlo > whi:
+        for c, (mu, nu) in enumerate(bounds):
+            wlo = max(mu, box.lo[c] - max(0, _times(i_max - 1, nu)))
+            whi = min(nu, box.hi[c] - min(0, _times(i_max - 1, mu)))
+            if wlo > whi:
                 i_max = 0  # no single factor fits: only the constant term
                 break
-            if wlo is None or whi is None or wlo < f.box.lo[c] or whi > f.box.hi[c]:
+            if wlo < f.box.lo[c] or whi > f.box.hi[c]:
                 raise BoxUnderflow(
                     f"operand box does not cover the factor window in coordinate {c}")
     zero = zero_exp(k)
-    # every pair sums at most i_max terms of f, and the origin is 0
-    ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
     pk = _Packing([min(0, i_max * mu) for mu, _ in ext],
                   [max(0, i_max * nu) for _, nu in ext], (box.lo, box.hi))
     guard = pk.guard
@@ -633,11 +624,9 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
     for i in range(1, i_max + 1):
         # where the i-th power must lie to still reach the box
         t = i_max - i
-        window = pk.window(*_ends(
-            [None if nu is None else a - max(0, t * nu)
-             for a, (_, nu) in zip(box.lo, bounds)],
-            [None if mu is None else b - min(0, t * mu)
-             for b, (mu, _) in zip(box.hi, bounds)]))
+        window = pk.window(
+            [a - max(0, _times(t, nu)) for a, (_, nu) in zip(box.lo, bounds)],
+            [b - min(0, _times(t, mu)) for b, (mu, _) in zip(box.hi, bounds)])
         if window is None:
             break
         pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
@@ -660,9 +649,7 @@ def _sum_powers(cfn, f: Series, i_max: int, box: Box) -> Series:
                 acc[s] = get(s, 0) + m * v
     unpack = pk.unpack
     coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
-    elems = _bound_support_set(f)
-    cone = make_cone(f.order, zero, elems)
-    return Series(ambient, coeffs, box, cone)
+    return Series(ambient, coeffs, box, make_cone(order, zero, elems))
 
 
 def substitute(c, f: Series, target_box=None) -> Series:
@@ -685,15 +672,10 @@ def substitute(c, f: Series, target_box=None) -> Series:
                 pw = mul(pw, f)
             out = add(out, pw.scale(ci))
         return out
-    cfn = c if callable(c) else (lambda i: c[i] if i < len(c) else 0)
-    if f.is_zero():
-        i_max = 0
-    else:
-        elems = _bound_support_set(f)
-        i_max = power_exhaustion_bound(f.order, elems, target_box)
-        if not callable(c):
-            i_max = min(i_max, len(c) - 1)
-    return _sum_powers(cfn, f, i_max, target_box)
+    if callable(c):
+        return _sum_powers(c, f, target_box)
+    return _sum_powers(lambda i: c[i] if i < len(c) else 0, f, target_box,
+                       len(c) - 1)
 
 
 def invert(f: Series, target_box=None) -> Series:
@@ -702,11 +684,17 @@ def invert(f: Series, target_box=None) -> Series:
 
 
 def power(f: Series, k: int, target_box=None) -> Series:
-    """Integer power.  A negative power is one generalized-binomial
-    substitution on the factorization f = a e^g (1 + tail):
-    f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in the target box."""
+    """Integer power.  A nonnegative power is repeated multiplication.  A
+    negative power is one generalized-binomial substitution on the
+    factorization f = a e^g (1 + tail):
+    f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in the target box.
+    The tail is positive because factorize certified g as the least
+    exponent of f, so the sum goes to the kernel without a second proof."""
     if k >= 0:
-        return f ** k
+        out = f.ambient.one()
+        for _ in range(k):
+            out = mul(out, f)
+        return out
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)
@@ -716,8 +704,8 @@ def power(f: Series, k: int, target_box=None) -> Series:
     if target_box is None:
         raise BoxUnderflow("inverting a non-monomial requires a target box")
     # binom(k, i) = (-1)^i binom(i - k - 1, i) for k < 0
-    terms = substitute(lambda i: (-1) ** i * math.comb(i - k - 1, i), tail,
-                       target_box.shift(exp_neg(kg)))
+    terms = _sum_powers(lambda i: (-1) ** i * math.comb(i - k - 1, i), tail,
+                        target_box.shift(exp_neg(kg)))
     return terms.scale(ak).shift(kg)
 
 
@@ -782,7 +770,8 @@ def series_to_json(f: Series) -> dict:
     if f.box is not None and f.cone is not None:
         data["cone"] = {"offset": list(f.cone.offset),
                         "generators": [list(g) for g in f.cone.generators],
-                        "bounds": [list(b) for b in f.cone.bounds]}
+                        "bounds": [[None if abs(v) == math.inf else v for v in b]
+                                   for b in f.cone.bounds]}
     return data
 
 
@@ -797,7 +786,7 @@ def series_from_json(data: dict) -> Series:
     coeffs = {tuple(t["exp"]): fld.parse(t["coeff"]) for t in data["terms"]}
     cone = None
     if "cone" in data:  # without it the series loads uncertified
-        c = data["cone"]
+        c = data["cone"]  # a null bound end is read back as -inf or inf
         cone = make_cone(order, tuple(c["offset"]),
                          [tuple(g) for g in c["generators"]],
                          tuple(tuple(b) for b in c["bounds"]))

@@ -45,6 +45,20 @@ def test_tokenize_zero_denominator_is_division():
 def test_tokenize_bad_character():
     with pytest.raises(ParseError):
         tokenize("X @ Y")
+    with pytest.raises(ParseError) as exc:
+        tokenize("X +\n  @")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+
+
+def test_non_ascii_digit_is_a_typed_error(capsys):
+    # "²" passes str.isdigit() but is no decimal digit
+    with pytest.raises(ParseError):
+        parse("X^²")
+    with pytest.raises(UndeclaredVariable):
+        evaluate(parse("²"), cfg_for("X"))
+    assert run(["eval", "X^²"]) == 2
+    assert run(["eval", "²"]) == 1
+    assert "int()" not in capsys.readouterr().err
 
 
 def test_parse_power_nodes():
@@ -186,6 +200,18 @@ def test_missing_box_exits_two(capsys):
     assert "--box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, out", [
+    # (2 + 2X^2)/(1 + X^2) + 1 = 3, its tail empty in the box
+    (["eval", "(1)/((2 + 2*X^2)/(1 + X^2)+(1))", "--box=0..7"], "1/3\n"),
+    # 1 - 2X = 1 + X over F_3
+    (["eval", "(2)/((1 - 2*X)/(1 + X))", "--box=0..7", "--field", "fp:3"],
+     "2\n"),
+])
+def test_nested_division_answers(capsys, argv, out):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_bad_box_with_box_given_exits_one(capsys):
     # box present but inversion still uncertifiable: domain error
     assert run(["eval", "1/0", "--box=0..3"]) == 1
@@ -215,6 +241,12 @@ def test_bad_box_with_box_given_exits_one(capsys):
     (["--order", "1", "dyson", "--a", "1,1,1"], "dyson does not take --order"),
     (["dyson", "--a", "1,1,1", "--hdim", "0"], "dyson does not take --hdim"),
     (["dyson", "--a", "1,1,1", "--box=0..1"], "dyson does not take --box"),
+    # values that the library rejects
+    (["eval", "X", "--order", "0"], "--order"),
+    (["eval", "X", "--order", "1,2"], "--order"),
+    (["eval", "X", "--vars", "X,Y", "--order", "1"], "--order"),
+    (["eval", "X", "--field", "fp:4"], "--field"),
+    (["eval", "X", "--field", "foo"], "--field"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     assert run(argv) == 2

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -259,6 +260,9 @@ def test_json_round_trip_exact_and_truncated():
     assert series_to_json(back) == series_to_json(g)
     # the cone certificate survives the trip, so products still certify
     assert data["cone"]["offset"] == [0, -1]
+    # unbounded ends are written as null and read back as -inf or inf
+    assert data["cone"]["bounds"] == [[0, None], [None, -1]]
+    assert back.cone.bounds == ((0, math.inf), (-math.inf, -1))
     assert mul(back, back).eq_within(mul(g, g))
     assert mul(back, back).box == mul(g, g).box
     data["cone"]["bounds"][0] = [0, 0]  # excludes stored terms
@@ -321,6 +325,14 @@ def test_negative_power_of_monomial_is_exact():
     f = AMB1.monomial(2, (1, -3))
     assert power(f, -3).coeffs == {(-3, 9): Fraction(1, 8)}
     assert power(f, -3).box is None
+
+
+def test_pow_operator_is_power():
+    X = AMB1.var(1)
+    inv = X ** -1
+    assert inv.box is None and inv.coeffs == {(-1, 0): 1}
+    with pytest.raises(BoxUnderflow):  # a non-monomial needs a target box
+        (AMB1.one() + X) ** -1
 
 
 def test_mul_within_reads_only_the_target():
@@ -390,8 +402,9 @@ def _convolution_inputs(draw):
     exps = st.tuples(*[st.integers(-6, 6)] * k)
     maps = st.dictionaries(exps, scalar.map(fld.coerce), max_size=10).map(
         lambda d: {g: c for g, c in d.items() if c})
-    end = st.none() | st.integers(-12, 12)
-    region = st.none() | st.tuples(st.tuples(*[end] * k), st.tuples(*[end] * k))
+    lo = st.just(-math.inf) | st.integers(-12, 12)
+    hi = st.just(math.inf) | st.integers(-12, 12)
+    region = st.none() | st.tuples(st.tuples(*[lo] * k), st.tuples(*[hi] * k))
     return fld, draw(maps), draw(maps), draw(region)
 
 
@@ -409,16 +422,17 @@ def test_convolve_beyond_machine_words():
     a = {(big, -3): Fraction(1, 3), (0, 5): 2, (-big // 4, 0): 7,
          (1, 2 ** 66): Fraction(-5, 2)}
     b = {(big, 1): 5, (3, -(2 ** 66)): Fraction(3, 4), (0, 0): -1}
-    for region in [((None, None), (None, None)),
-                   ((0, -10), (None, 10)),
-                   ((-big, None), (big, 0)),
-                   ((big // 2, None), (None, None)),
+    inf = math.inf
+    for region in [((-inf, -inf), (inf, inf)),
+                   ((0, -10), (inf, 10)),
+                   ((-big, -inf), (big, 0)),
+                   ((big // 2, -inf), (inf, inf)),
                    ((3, 0), (3, 0))]:
         out = _convolve(QQ, a, b, region)
         assert out == _reference_convolution(QQ, a, b, region)
         _assert_canonical(QQ, out)
     # six of the twelve pairs land at or past big / 2 in coordinate 0
-    assert len(_convolve(QQ, a, b, ((big // 2, None), (None, None)))) == 6
+    assert len(_convolve(QQ, a, b, ((big // 2, -inf), (inf, inf)))) == 6
 
 
 @st.composite
