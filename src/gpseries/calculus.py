@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadVariableIndex, IncompatibleAmbient, ZeroSeries
-from .exponents import exp_sub
+from .exponents import exp_neg
 from .series import (
     Ambient,
     Series,
@@ -34,13 +34,11 @@ def partial(f: Series, i: int) -> Series:
         raise BadVariableIndex(f"variable index {i} not in 1..{split.n}")
     u = split.unit(i)
     pos = split.m + i - 1
-    # j_i can vanish, also in positive characteristic: reduce drops it
-    coeffs = f.field.reduce(
-        {exp_sub(g, u): g[pos] * c for g, c in f.coeffs.items()})
-    neg_u = tuple(-x for x in u)
-    box = f.box.shift(neg_u) if f.box is not None else None
-    cone = f.cone.shift(neg_u) if f.cone is not None else None
-    return Series(f.ambient, coeffs, box, cone)
+    # j_i can vanish, also in positive characteristic: reduce drops it.
+    # The support of the unshifted series lies in f's, so f's box and cone
+    # hold for it.
+    coeffs = f.field.reduce({g: g[pos] * c for g, c in f.coeffs.items()})
+    return Series(f.ambient, coeffs, f.box, f.cone).shift(exp_neg(u))
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,8 @@ class Cone:
     """Support certificate: the true support of a series lies in
     offset + N-span(generators), each generator positive under the ambient
     order, and inside the per-coordinate ``bounds`` ((lo, hi), ...), where an
-    unbounded end is -inf or inf.
+    unbounded end is -inf or inf.  Zero and repeated generators are dropped;
+    positivity is checked where a cone enters the library (``make_cone``).
 
     ``bounds`` is always intersected with the hull of the offset and the
     generators, so it defaults to that hull and is often tighter, e.g. after
@@ -218,6 +219,9 @@ class Cone:
     bounds: tuple = None  # (lo, hi) per coordinate, ends may be infinite
 
     def __post_init__(self):
+        # first-occurrence order is kept: certify_cone_below walks it
+        gens = tuple(dict.fromkeys(g for g in self.generators if any(g)))
+        object.__setattr__(self, "generators", gens)
         lo = list(self.offset)
         hi = list(self.offset)
         for g in self.generators:
@@ -238,19 +242,16 @@ class Cone:
 
 def make_cone(order: TermOrder, offset: Exponent, generators,
               bounds=None) -> Cone:
-    """Cone with zero generators dropped and positivity checked."""
+    """Cone from outside the library (public API, JSON), its dimensions and
+    the positivity of each generator checked.  Cones combined inside the
+    library have positive generators already and are not checked again."""
     if len(offset) != order.k or bounds is not None and len(bounds) != order.k:
         raise DimensionMismatch(f"cone offset or bounds length != {order.k}")
-    gens = []
-    seen = set()
-    for g in generators:
-        if all(v == 0 for v in g) or g in seen:
-            continue
+    cone = Cone(tuple(offset), generators, bounds)
+    for g in cone.generators:
         if not order.is_positive(g):
             raise NonPositiveSupportElement(f"cone generator {g} is not positive")
-        seen.add(g)
-        gens.append(g)
-    return Cone(tuple(offset), tuple(gens), bounds)
+    return cone
 
 
 def cone_union(order: TermOrder, c1, c2):
@@ -260,20 +261,18 @@ def cone_union(order: TermOrder, c1, c2):
         return c2
     if c2 is None:
         return c1
-    offset = order.min((c1.offset, c2.offset))
-    gens = list(c1.generators) + list(c2.generators)
-    gens += [exp_sub(off, offset) for off in (c1.offset, c2.offset)]
-    return make_cone(order, offset, gens, tuple(
+    offset = order.min((c1.offset, c2.offset))  # the differences are >= 0
+    return Cone(offset, c1.generators + c2.generators + tuple(
+        exp_sub(off, offset) for off in (c1.offset, c2.offset)), tuple(
         (min(l1, l2), max(u1, u2))
         for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
-def cone_sum(order: TermOrder, c1: Cone, c2: Cone) -> Cone:
+def cone_sum(c1: Cone, c2: Cone) -> Cone:
     """Certificate for a product: the Minkowski sum of the two cones."""
-    return make_cone(
-        order, exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
-        tuple((l1 + l2, u1 + u2)
-              for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
+    return Cone(exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
+                tuple((l1 + l2, u1 + u2)
+                      for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
 def functional_range(row, box: Box):

@@ -19,12 +19,12 @@ from .exponents import (
     GroupSplit,
     TermOrder,
     exp_add,
-    exp_neg,
     lex_order,
     zero_exp,
 )
 from .residues import ParameterSystem, check_parameters
-from .series import Ambient, Series, add, invert, mul, mul_within, power
+from .series import (Ambient, Series, _extents, add, invert, mul,
+                     mul_within, power)
 from .fields import QQ
 
 
@@ -256,12 +256,8 @@ def _egorychev_lhs(inst: DysonInstance):
         denom = mul(denom, u ** ai)
     # the answer sits at exponent 0; size the box from the numerator hull
     k = ambient.k
-    if numer.coeffs:
-        ehi = tuple(max(g[c] for g in numer.coeffs) for c in range(k))
-        elo = tuple(min(g[c] for g in numer.coeffs) for c in range(k))
-    else:
-        ehi = elo = zero_exp(k)
-    box = Box(exp_neg(ehi), exp_neg(elo))
+    ext = _extents(numer)
+    box = Box(tuple(-b for _, b in ext), tuple(-a for a, _ in ext))
     at_zero = Box(zero_exp(k), zero_exp(k))
     return mul_within(numer, invert(denom, box), at_zero).coefficient_at(
         zero_exp(k))

@@ -10,6 +10,7 @@ off coefficients of a series with respect to the parameters.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
@@ -20,10 +21,12 @@ from .errors import (
     NotRegular,
     OutsideBox,
 )
-from .exponents import Box, exp_add, int_det, zero_exp
+from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
 from .series import (
     Ambient,
     Series,
+    _extents,
+    _key_extents,
     add,
     factorize,
     h_box,
@@ -45,7 +48,6 @@ def multiplicities(f: Series):
 @dataclass(frozen=True)
 class ParameterSystem:
     members: tuple  # n Series
-    mult_matrix: tuple  # n rows of n ints
     leading: tuple  # per member (a, g, tail)
     det: int
 
@@ -76,7 +78,7 @@ def check_parameters(fs) -> ParameterSystem:
     if ambient.field.coerce(det) == 0:
         raise NotParameters(
             f"multiplicity determinant {det} vanishes in the field")
-    return ParameterSystem(fs, tuple(tuple(r) for r in rows), tuple(leading), det)
+    return ParameterSystem(fs, tuple(leading), det)
 
 
 def is_regular(p: ParameterSystem) -> bool:
@@ -160,18 +162,11 @@ def _jacobi_in_box(psi: Series, p: ParameterSystem, idx,
     if num.box is None and last.box is None:
         num = mul(num, last)  # exact everywhere, and so is the answer
     else:
-        # H coordinates over the sum of the operands' box (exact: key)
-        # extents; mul_within cuts them to the certified product box
+        # H coordinates unbounded: mul_within cuts them to the certified
+        # product box
         m = p.ambient.split.m
-        lo, hi = [0] * m, [0] * m
-        for s in (num, last):
-            ext = zip(s.box.lo, s.box.hi) if s.box is not None else \
-                ((min(col), max(col)) for col in zip(*s.coeffs))
-            for c, (a, b) in zip(range(m), ext):
-                lo[c] += a
-                hi[c] += b
-        slab = Box(tuple(lo) + (-1,) * p.n, tuple(hi) + (-1,) * p.n)
-        num = mul_within(num, last, slab)
+        num = mul_within(num, last, Box((-math.inf,) * m + (-1,) * p.n,
+                                        (math.inf,) * m + (-1,) * p.n))
     return residue(GeneralizedFraction(NForm(num), p))
 
 
@@ -182,7 +177,8 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
 
     Solved by one ascending pass over candidate exponents in the group
     order: each candidate is hit exactly once as the leading exponent of
-    e^h Phi^idx, so its unknown is determined by earlier ones.
+    e^h Phi^idx, so its unknown is determined by earlier ones.  For m > 0
+    each phi_idx is exact on the H range solved, cut to psi's box.
     """
     if not is_regular(p):
         raise NotRegular(f"multiplicity determinant is {p.det}, not a unit")
@@ -201,20 +197,17 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
         for (a, g, tail), i in zip(p.leading, idx):
             b = exp_add(b, tuple(i * v for v in g))
         base[idx] = b
+    out_box = h_box(psi)
     if split.m:
-        if psi.box is not None:
-            hlo = list(psi.box.lo[:split.m])
-            hhi = list(psi.box.hi[:split.m])
-        else:
-            kh = [[e[c] for e in psi.coeffs] for c in range(split.m)]
-            hlo = [min(v) if v else 0 for v in kh]
-            hhi = [max(v) if v else 0 for v in kh]
+        hlo, hhi = map(list, zip(*_extents(psi)[:split.m]))
         for b in base.values():
             for c in range(split.m):
                 hlo[c] = min(hlo[c], hlo[c] - b[c])
                 hhi[c] = max(hhi[c], hhi[c] - b[c])
-        h_points = list(Box(tuple(hlo) + (0,) * split.n,
-                            tuple(hhi) + (0,) * split.n).points())
+        solved = Box(tuple(hlo) + (0,) * split.n, tuple(hhi) + (0,) * split.n)
+        h_points = list(solved.points())
+        # the answers are exact on the H range solved, and no further
+        out_box = box_intersect(out_box, solved)
     else:
         h_points = [zero_exp(order.k)]
 
@@ -229,7 +222,7 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     # units U_idx = prod (1 + tail_l)^{i_l}, expanded where differences live
     if working_box is None:
         # per coordinate, x - y ranges over [min - max, max - min]
-        ext = [(min(col), max(col)) for col in zip(*candidates)]
+        ext = _key_extents(candidates)
         working_box = Box(tuple(a - b for a, b in ext),
                           tuple(b - a for a, b in ext))
     units = {}
@@ -274,7 +267,6 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                 acc = acc - ay * lead_consts[idx_y] * c
         solved[x] = fld.coerce(acc * fld.inv(lead_consts[idx]))
 
-    out_box = h_box(psi)
     result = {}
     for idx in base:
         coeffs = {}

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .exponents import (
     Box,
+    Cone,
     GroupSplit,
     TermOrder,
     box_intersect,
@@ -228,9 +229,18 @@ def _key_extents(keys):
     return [(min(col), max(col)) for col in zip(*keys)]
 
 
+def _extents(f: Series):
+    """Per-coordinate (lo, hi) of where f's stored terms lie: its box, or
+    the key extents of an exact series ((0, 0) if it is zero)."""
+    if f.box is not None:
+        return list(zip(f.box.lo, f.box.hi))
+    return _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * f.order.k
+
+
 def _effective_cone(f: Series):
     """Support certificate: stored cone, or one derived from an exact sum
-    (offset at its least key, bounds from its key extents).
+    (offset at its least key, generators the keys minus it, so positive,
+    bounds from its key extents).
 
     Returns None for an exact zero series (empty support needs no cone) and
     raises BoxUnderflow for a truncated series without a certificate.
@@ -239,8 +249,8 @@ def _effective_cone(f: Series):
         if not f.coeffs:
             return None
         offset = f.order.min(f.coeffs)
-        gens = [exp_sub(g, offset) for g in f.coeffs if g != offset]
-        return make_cone(f.order, offset, gens, _key_extents(f.coeffs))
+        return Cone(offset, tuple(exp_sub(g, offset) for g in f.coeffs),
+                    _key_extents(f.coeffs))
     if f.cone is None:
         raise BoxUnderflow("truncated series carries no cone certificate")
     return f.cone
@@ -442,19 +452,12 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
                         f"cannot certify coordinate {c}: unbounded overlap above")
                 hi[c] = min(hi[c], mine.box.hi[c] + olo)
     # an infinite end means any bound in that direction is certifiable; fall
-    # back to the sum of the operands' box (or, if exact, key) extents
-    fb_lo = [0] * k
-    fb_hi = [0] * k
-    for s, cone in ((f, c1), (g, c2)):
-        ext = zip(s.box.lo, s.box.hi) if s.box is not None else cone.bounds
-        for c, (a, b) in enumerate(ext):
-            fb_lo[c] += a
-            fb_hi[c] += b
-    for c in range(k):
+    # back to the sum of the operands' extents
+    for c, ((a1, b1), (a2, b2)) in enumerate(zip(_extents(f), _extents(g))):
         if lo[c] == -math.inf:
-            lo[c] = min(fb_lo[c], hi[c])
+            lo[c] = min(a1 + a2, hi[c])
         if hi[c] == math.inf:
-            hi[c] = max(fb_hi[c], lo[c])
+            hi[c] = max(b1 + b2, lo[c])
         if lo[c] > hi[c]:
             raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
     return Box(tuple(lo), tuple(hi))
@@ -483,7 +486,7 @@ def mul_within(f: Series, g: Series, box) -> Series:
         except ValueError:
             raise BoxUnderflow(
                 "target box lies outside the certified product box") from None
-    cone = cone_sum(f.order, c1, c2)
+    cone = cone_sum(c1, c2)
     return Series(f.ambient, _convolve(f.field, f.coeffs, g.coeffs,
                                        (target.lo, target.hi)), target, cone)
 
@@ -497,7 +500,7 @@ def truncate(f: Series, smaller_box: Box) -> Series:
     elif f.coeffs:
         cone = _effective_cone(f)
     else:
-        cone = make_cone(f.order, zero_exp(f.order.k), [])
+        cone = Cone(zero_exp(f.order.k), ())
     return Series(f.ambient, coeffs, smaller_box, cone)
 
 
@@ -525,14 +528,10 @@ def factorize(f: Series):
     a = f.coeffs[g]
     fld = f.field
     ainv = fld.inv(a)
-    tail_coeffs = {exp_sub(e, g): fld.coerce(c * ainv)
-                   for e, c in f.coeffs.items() if e != g}
-    if f.box is None:
-        tail = Series(f.ambient, tail_coeffs, None, None)
-    else:
-        tail_box = f.box.shift(exp_neg(g))
-        tail = Series(f.ambient, tail_coeffs, tail_box, f.cone.shift(exp_neg(g)))
-    return a, g, tail
+    tail = Series(f.ambient, {e: fld.coerce(c * ainv)
+                              for e, c in f.coeffs.items() if e != g},
+                  f.box, f.cone)
+    return a, g, tail.shift(exp_neg(g))
 
 
 def is_positive_series(f: Series) -> bool:
@@ -649,7 +648,8 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
                 acc[s] = get(s, 0) + m * v
     unpack = pk.unpack
     coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
-    return Series(ambient, coeffs, box, make_cone(order, zero, elems))
+    # power_exhaustion_bound has classified every element as positive
+    return Series(ambient, coeffs, box, Cone(zero, tuple(elems)))
 
 
 def substitute(c, f: Series, target_box=None) -> Series:

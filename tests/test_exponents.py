@@ -191,6 +191,14 @@ def test_box_intersect():
 def test_make_cone_drops_zero_and_duplicates():
     c = make_cone(G1, (0, 0), [(1, 0), (1, 0), (0, 0), (0, 1)])
     assert sorted(c.generators) == [(0, 1), (1, 0)]
+    # Cone itself drops them, keeping first-occurrence order, unchecked
+    gens = [(0, 1), (1, 0), (0, 0), (0, 1), (1, -1), (1, 0)]
+    assert Cone((0, 0), gens).generators == ((0, 1), (1, 0), (1, -1))
+    # make_cone checks positivity where a cone enters
+    with pytest.raises(NonPositiveSupportElement):
+        make_cone(G1, (0, 0), [(1, 0), (-1, 0)])
+    with pytest.raises(DimensionMismatch):
+        make_cone(G1, (0, 0, 0), [(1, 0)])
 
 
 def test_certify_cone_below():

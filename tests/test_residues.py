@@ -246,6 +246,29 @@ def _slab_cases(field):
     yield from _h_systems(make_ambient(1, m=1, field=field))
 
 
+def _exactness_systems():
+    """psi, Phi and index range where psi's H range alone understates
+    where represent's answers are exact: X over X(1+t), whose phi_1 is
+    1/(1+t), and X(1+t^2) over the same Phi; then the _h_systems."""
+    amb = make_ambient(1, m=1)
+    x, t = amb.var(1), amb.monomial(1, (1, 0))
+    p = check_parameters([mul(x, amb.one() + t)])
+    yield x, p, ((1,), (1,))
+    yield mul(x, amb.one() + mul(t, t)), p, ((1,), (1,))
+    for psi, p, idxs in _h_systems(amb):
+        yield psi, p, (idxs[0], idxs[-1])
+
+
+def test_represent_box_is_where_it_solved():
+    for psi, p, idx_box in _exactness_systems():
+        rep = represent(psi, p, idx_box)
+        for idx, phi in rep.items():
+            jc = jacobi_coefficient(psi, p, idx)
+            assert phi.box is not None
+            assert box_intersect(phi.box, jc.box) is not None
+            assert phi.eq_within(jc), (idx, phi, jc)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
 def test_jacobi_slab_agrees_with_full_chain(field):
     for psi, p, idxs in _slab_cases(field):

@@ -13,6 +13,7 @@ from gpseries import (
     BoxNotContained,
     BoxUnderflow,
     DimensionMismatch,
+    GPSeriesError,
     GroupSplit,
     LeadingTermUncertain,
     NonPositiveSupportElement,
@@ -21,6 +22,7 @@ from gpseries import (
     PrimeField,
     QQ,
     ZeroSeries,
+    make_cone,
     parse_order,
 )
 from gpseries.series import (
@@ -466,3 +468,100 @@ def test_substitute_matches_truncated_polynomial(inputs):
     assert out.coeffs == {g: v for g, v in expected.coeffs.items()
                           if box.contains(g)}
     _assert_canonical(amb.field, out.coeffs)
+
+
+CERT_ORDERS = [parse_order("1,0;0,1"), parse_order("1,1;1,0")]  # lex, degree
+
+
+@st.composite
+def _certificate_inputs(draw):
+    """Over Q or F_5, under lex or a degree order: an exact series f, an
+    exact unit u = a e^g (1 + t) with t supported in N^2 minus 0, a box and
+    a power k < 0."""
+    amb = Ambient(GroupSplit(0, 2), draw(st.sampled_from(CERT_ORDERS)),
+                  draw(st.sampled_from([QQ, PrimeField(5)])))
+    scalar = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+    f = amb.series(draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * 2), scalar, min_size=1, max_size=4)))
+    t = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2).filter(any),
+                             scalar, min_size=1, max_size=3))
+    g = draw(st.tuples(*[st.integers(-2, 2)] * 2))
+    u = mul(amb.monomial(draw(scalar), g), amb.one() + amb.series(t))
+    lo = draw(st.tuples(*[st.integers(-4, 1)] * 2))
+    box = Box(lo, tuple(v + draw(st.integers(0, 4)) for v in lo))
+    return amb, f, u, box, draw(st.integers(-3, -1))
+
+
+def _power_sum(fld, t: dict, cs, hi):
+    """sum_i cs(i) t^i by repeated tuple convolution, kept to the terms with
+    every coordinate <= hi; t lies in N^k minus 0, so no term comes back."""
+    zero = (0,) * len(hi)
+    out, pw, i = {}, {zero: 1}, 0
+    while pw:
+        for s, v in pw.items():
+            out[s] = out.get(s, 0) + cs(i) * v
+        i += 1
+        pw = {s: v for s, v in _reference_convolution(fld, pw, t, None).items()
+              if all(map(int.__le__, s, hi))}
+    return {s: fld.coerce(v) for s, v in out.items() if fld.coerce(v)}
+
+
+def _binomial(k, i):
+    return (-1) ** i * math.comb(i - k - 1, i)  # binom(k, i) for k < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certificate_inputs())
+def test_combined_cones_stay_certified(inputs):
+    """Cones combined inside the library are not checked again: each one
+    still passes make_cone, and for exact inputs the result agrees with
+    brute-force expansion inside its box."""
+    amb, f, u, box, k = inputs
+    fld = amb.field
+    if u.is_zero():  # every term vanished in F_5
+        return
+    a, g, tail = factorize(u)
+    shift = tuple(k * v for v in g)
+    total = dict(f.coeffs)
+    for e, c in u.coeffs.items():
+        total[e] = total.get(e, 0) + c
+    expected = [  # (result, brute-force coefficients)
+        (add(truncate(f, box), u), total),
+        (mul_within(f, u, box), _reference_convolution(
+            fld, f.coeffs, u.coeffs, None)),
+        (power(u, k, box), {tuple(map(int.__add__, s, shift)):
+                            fld.coerce(v * fld.power(a, k)) for s, v in
+                            _power_sum(fld, tail.coeffs, lambda i: _binomial(k, i),
+                                       tuple(h - d for h, d in zip(box.hi, shift))
+                                       ).items()}),
+        (substitute(lambda i: i + 1, tail, box), _power_sum(
+            fld, tail.coeffs, lambda i: i + 1, box.hi)),
+        (truncate(f, box), f.coeffs),
+    ]
+    for r, brute in expected:
+        assert r.eq_within(amb.series(brute))
+        _assert_cone_checks(amb.order, r)
+    # truncated quotients through the same operations
+    try:
+        q = mul(f, invert(u, box))
+    except GPSeriesError:
+        return  # a refusal claims nothing
+    _assert_cone_checks(amb.order, q)
+    for op in (lambda: add(q, f), lambda: add(q, q),
+               lambda: mul_within(q, u, None), lambda: mul_within(q, q, box),
+               lambda: power(q, k, box),
+               lambda: substitute(lambda i: i + 1, factorize(q)[2], box),
+               lambda: truncate(q, q.box or box)):
+        try:
+            r = op()
+        except GPSeriesError:
+            continue
+        _assert_cone_checks(amb.order, r)
+
+
+def _assert_cone_checks(order, r):
+    """A truncated result is certified, and its cone passes make_cone."""
+    c = r.cone
+    assert r.box is None or c is not None
+    if c is not None:
+        assert make_cone(order, c.offset, c.generators, c.bounds) == c
