@@ -326,31 +326,34 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
 _CERTIFY_BUDGET = 200_000  # cone points visited before certification gives up
 
 
-def certify_cone_below(order: TermOrder, cone: Cone, bound, box) -> bool:
-    """Check that every cone point strictly below ``bound`` lies in ``box``.
-
-    ``bound`` may be None, meaning check all cone points.  Enumeration walks
-    the cone from its offset along generators; points at or above the bound
-    are pruned (their successors only grow).  Returns False if a point
-    escapes the box or the enumeration budget is exhausted (the certificate
-    then fails, it never lies).
-    """
+def certify_cone_below(order: TermOrder, cone: Cone, bound, box):
+    """Walk ``cone`` from its offset along its generators, checking that
+    every cone point strictly below ``bound`` lies in ``box``.  A point at
+    or above the bound is a crossing, not walked on: its successors only
+    grow.  Return the cone of the points at or above ``bound``: offset
+    ``bound``, generators the crossings minus ``bound`` and the old ones,
+    the old bounds (``cone`` itself if ``bound`` is None); or None if a
+    point escapes the box or the budget runs out (the certificate then
+    fails, it never lies)."""
     bound_key = order.key(bound) if bound is not None else None
     seen = {cone.offset}
     frontier = [cone.offset]
+    crossings = []
     visited = 0
     while frontier:
         pt = frontier.pop()
         visited += 1
         if visited > _CERTIFY_BUDGET:
-            return False
+            return None
         if bound_key is not None and order.key(pt) >= bound_key:
+            crossings.append(exp_sub(pt, bound))
             continue
         if box is None or not box.contains(pt):
-            return False
+            return None
         for g in cone.generators:
             nxt = exp_add(pt, g)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return True
+    return cone if bound is None else Cone(
+        bound, tuple(crossings) + cone.generators, cone.bounds)

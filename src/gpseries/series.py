@@ -508,8 +508,8 @@ def factorize(f: Series):
     """Unique factorization f = a * e^g * (1 + tail), tail positive.
 
     Returns (a, g, tail).  For truncated series the minimality of g is
-    certified by checking that every cone point below the least stored key
-    lies inside the box.
+    certified by walking the cone below the least stored key inside the box;
+    the tail carries the walk's cone of the points at or above g, at 0.
     """
     order = f.order
     if not f.coeffs:
@@ -519,10 +519,12 @@ def factorize(f: Series):
             raise ZeroSeries("series is certifiably zero")
         raise LeadingTermUncertain("empty within box but support may exist outside")
     g = order.min(f.coeffs)
+    cone = f.cone
     if f.box is not None:
-        if f.cone is None:
+        if cone is None:
             raise LeadingTermUncertain("no cone certificate")
-        if not certify_cone_below(order, f.cone, g, f.box):
+        cone = certify_cone_below(order, cone, g, f.box)
+        if cone is None:
             raise LeadingTermUncertain(
                 "box cannot certify that the least stored term is the leading term")
     a = f.coeffs[g]
@@ -530,43 +532,25 @@ def factorize(f: Series):
     ainv = fld.inv(a)
     tail = Series(f.ambient, {e: fld.coerce(c * ainv)
                               for e, c in f.coeffs.items() if e != g},
-                  f.box, f.cone)
+                  f.box, cone)
     return a, g, tail.shift(exp_neg(g))
 
 
-def is_positive_series(f: Series) -> bool:
-    """True iff supp f > 0, certified.  Raises LeadingTermUncertain when the
-    box cannot decide."""
-    try:
-        _, g, _ = factorize(f)
-    except ZeroSeries:
-        return True  # empty support is vacuously positive
-    return f.order.is_positive(g)
-
-
 def _bound_support_set(f: Series):
-    """Finite positive set whose sums cover all sums of supp-f elements.
-
-    For an exact series this is its key set.  For a truncated positive
-    series with cone offset o: if o > 0 every element is o plus generators;
-    if o = 0 every (positive, hence nonzero) element is a nonzero generator
-    combination; otherwise no finite bound set is certifiable.
-    """
+    """Finite positive set whose sums cover all sums of supp-f elements, for
+    f positive: an exact series' keys, else its cone's generators and its
+    offset if nonzero.  ``factorize`` certifies that offset: 0 for a tail,
+    whose elements are nonzero generator sums, or a substitution base's
+    positive leading exponent, which each element contains once."""
     if f.box is None:
         return list(f.coeffs)
     cone = _effective_cone(f)
-    if f.order.is_positive(cone.offset):
-        return [cone.offset] + list(cone.generators)
-    if not any(cone.offset):
-        return list(cone.generators)
-    raise LeadingTermUncertain(
-        "cone offset is not positive; cannot bound powers of this series")
+    return ([cone.offset] if any(cone.offset) else []) + list(cone.generators)
 
 
 def _times(t: int, v):
-    """t * v for a factor count t >= 0 and a bound end v.  An infinite end
-    stays infinite, also for t = 0, where 0 * inf would be nan."""
-    return v if abs(v) == math.inf else t * v
+    """t * v for a factor count t >= 0 and a bound end v, with 0 * inf = 0."""
+    return t * v if t else 0
 
 
 def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
@@ -577,12 +561,13 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
     ``power_exhaustion_bound`` over ``_bound_support_set(f)``, which also
     generates the result's cone.  Powers are accumulated with pruning: after
     i factors, only exponents that can still reach the box with the
-    remaining i_max - i factors are kept.  When f is truncated, the window
-    of exponents any single factor can contribute must be covered by f's
-    box.  The base is packed once, in one layout wide enough for every step,
-    and the running power stays packed through all i_max steps; over Q it
-    stays an int map over the base's denominator to the i-th power, and the
-    sum is divided once.  Calling ``_convolve`` at each step instead, which
+    remaining i_max - i factors are kept.  When f is truncated, the box is
+    cut, as ``mul_within`` cuts a product, to where every factor that can
+    reach it is stored; the result is exact in the box it returns.  The base
+    is packed once, in one layout wide enough for every step, and the
+    running power stays packed through all i_max steps; over Q it stays an
+    int map over the base's denominator to the i-th power, and the sum is
+    divided once.  Calling ``_convolve`` at each step instead, which
     packs and unpacks both operands every time, cut the benchmark's
     jacobi-recovery from 118-132 to 96-99 cases/s and raised its
     dyson-routes p50 from 0.49-0.53 to 0.70-0.78 ms (seeds 1-3).
@@ -597,15 +582,21 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
     ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
     bounds = ext if f.box is None else f.cone.bounds
     if f.box is not None and i_max >= 1:
+        lo, hi = list(box.lo), list(box.hi)
         for c, (mu, nu) in enumerate(bounds):
-            wlo = max(mu, box.lo[c] - max(0, _times(i_max - 1, nu)))
-            whi = min(nu, box.hi[c] - min(0, _times(i_max - 1, mu)))
-            if wlo > whi:
+            # the other factors of a sum in the box add [down, up] to it
+            up = max(0, _times(i_max - 1, nu))
+            down = min(0, _times(i_max - 1, mu))
+            if max(mu, lo[c] - up) > min(nu, hi[c] - down):
                 i_max = 0  # no single factor fits: only the constant term
                 break
-            if wlo < f.box.lo[c] or whi > f.box.hi[c]:
-                raise BoxUnderflow(
-                    f"operand box does not cover the factor window in coordinate {c}")
+            # as mul_within does: keep where every such factor is stored
+            lo[c] = max(lo[c], f.box.lo[c] + up) if mu < f.box.lo[c] else lo[c]
+            hi[c] = min(hi[c], f.box.hi[c] + down) if nu > f.box.hi[c] else hi[c]
+        else:
+            if any(map(operator.gt, lo, hi)):
+                raise BoxUnderflow("no point of the target box has its factors stored")
+            box = Box(tuple(lo), tuple(hi))
     zero = zero_exp(k)
     pk = _Packing([min(0, i_max * mu) for mu, _ in ext],
                   [max(0, i_max * nu) for _, nu in ext], (box.lo, box.hi))
@@ -658,8 +649,15 @@ def substitute(c, f: Series, target_box=None) -> Series:
     ``c`` is a finite sequence or a callable i -> scalar.  A target box is
     required unless ``c`` is finite (the polynomial case).
     """
-    if not is_positive_series(f):
-        raise NotPositive("substitution base must be a positive series")
+    try:
+        _, g, tail = factorize(f)
+    except ZeroSeries:
+        f = f.ambient.zero()  # certifiably zero, so are its powers
+    else:
+        if not f.order.is_positive(g):
+            raise NotPositive("substitution base must be a positive series")
+        # the cone at or above g that factorize proved
+        f = Series(f.ambient, f.coeffs, f.box, tail.cone and tail.cone.shift(g))
     if target_box is None:
         if callable(c):
             if f.is_zero():
@@ -686,10 +684,9 @@ def invert(f: Series, target_box=None) -> Series:
 def power(f: Series, k: int, target_box=None) -> Series:
     """Integer power.  A nonnegative power is repeated multiplication.  A
     negative power is one generalized-binomial substitution on the
-    factorization f = a e^g (1 + tail):
-    f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in the target box.
-    The tail is positive because factorize certified g as the least
-    exponent of f, so the sum goes to the kernel without a second proof."""
+    factorization f = a e^g (1 + tail), whose tail is positive with the cone
+    factorize certified: f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in
+    the target box cut by ``_sum_powers`` where the tail is not stored."""
     if k >= 0:
         out = f.ambient.one()
         for _ in range(k):

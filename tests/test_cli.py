@@ -206,6 +206,11 @@ def test_missing_box_exits_two(capsys):
     # 1 - 2X = 1 + X over F_3
     (["eval", "(2)/((1 - 2*X)/(1 + X))", "--box=0..7", "--field", "fp:3"],
      "2\n"),
+    # the divisor's cone offset lies below its leading term
+    (["eval", "(1)/((-2 + 2*X)/(1 - 2*X - 2*X^2)+(2))", "--box=0..9"],
+     "2 - 3*X + 6*X^2 - 12*X^3 + 24*X^4 - 48*X^5 + 96*X^6 - 192*X^7\n"),
+    # the tail of -2X/(-1 - 3X) is stored to X^8 only: the answer is cut there
+    (["eval", "(-3)/((-2*X)/(-1 - 3*X))", "--box=0..9"], "-9/2\n"),
 ])
 def test_nested_division_answers(capsys, argv, out):
     assert run(argv) == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -204,10 +205,24 @@ def test_make_cone_drops_zero_and_duplicates():
 def test_certify_cone_below():
     # all cone points below (2,0) are inside the box
     c = Cone((0, 0), ((1, 0),))
-    assert certify_cone_below(G1, c, (2, 0), Box((0, 0), (5, 0)))
+    above = certify_cone_below(G1, c, (2, 0), Box((0, 0), (5, 0)))
+    assert above.offset == (2, 0) and above.generators == ((1, 0),)
+    # the points at or above the bound: the crossings (1,0) and (2,0) of the
+    # walk from (-1,0), minus the bound, and the old generators
+    c3 = Cone((-1, 0), ((2, 0), (3, 0)))
+    above = certify_cone_below(G1, c3, (0, 0), Box((-1, 0), (5, 0)))
+    assert above.offset == (0, 0)
+    assert set(above.generators) == {(1, 0), (2, 0), (3, 0)}
+    assert all(G1.is_positive(g) for g in above.generators)
+    # the old bounds, cut to the hull of the new offset and generators
+    assert above.bounds == ((0, math.inf), (0, 0))
+    # with no bound every point is checked and the cone comes back
+    assert certify_cone_below(G1, Cone((1, 0), ()), None,
+                              Box((0, 0), (1, 0))) == Cone((1, 0), ())
     # generator escapes the box while still below the bound
     c2 = Cone((0, 0), ((0, 1),))
-    assert not certify_cone_below(G1, c2, (2, 0), Box((0, 0), (0, 0)))
+    assert certify_cone_below(G1, c2, (2, 0), Box((0, 0), (0, 0))) is None
+    assert certify_cone_below(G1, c3, None, Box((-1, 0), (5, 0))) is None
 
 
 def test_order_string_round_trip():

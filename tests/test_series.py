@@ -565,3 +565,66 @@ def _assert_cone_checks(order, r):
     assert r.box is None or c is not None
     if c is not None:
         assert make_cone(order, c.offset, c.generators, c.bounds) == c
+
+
+@st.composite
+def _nested_divisor_inputs(draw):
+    """Over Q or F_5, in one or two variables: polynomials P1, P2 (constant
+    term +-1, its other exponents in N^n minus 0) and P3 of the truncated
+    divisor P1/P2 + P3, a box B and a wider box B' around it."""
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    n = draw(st.integers(1, 2))
+    amb = make_ambient(n, field=fld)
+
+    def exps(top):
+        return st.tuples(*[st.integers(0, top)] * n)
+
+    def poly(exp, **size):
+        return amb.series(draw(st.dictionaries(
+            exp, st.integers(-3, 3).filter(bool), **size)))
+
+    p1 = poly(exps(3), min_size=1, max_size=3)
+    p2 = add(amb.constant(draw(st.sampled_from([1, -1]))),
+             poly(exps(2).filter(any), min_size=1, max_size=2))
+    p3 = poly(exps(1), max_size=2)
+    lo = draw(st.tuples(*[st.integers(-2, 1)] * n))
+    box = Box(lo, tuple(v + draw(st.integers(0, 8)) for v in lo))
+    wide = Box(tuple(v - draw(st.integers(0, 3)) for v in box.lo),
+               tuple(v + draw(st.integers(1, 6)) for v in box.hi))
+    return amb, p1, p2, p3, box, wide
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_divisor_inputs())
+def test_truncated_powers_agree_in_nested_boxes(inputs):
+    """A negative power of a truncated divisor is exact in the box it
+    returns, which lies in the target box: it agrees with the power taken
+    in a wider box and with the exact quotient P2^k / (P1 + P3 P2)^k, and
+    every tail factorize gives has a cone at offset 0."""
+    amb, p1, p2, p3, box, wide = inputs
+    try:
+        f, f_wide = (add(mul(p1, invert(p2, b)), p3) for b in (box, wide))
+    except GPSeriesError:
+        return
+    for q in (f, f_wide):
+        try:
+            tail = factorize(q)[2]
+        except GPSeriesError:
+            continue
+        assert tail.box is None or tail.cone.offset == (0,) * amb.k
+        _assert_cone_checks(amb.order, tail)
+    for k in (1, 2, 3):
+        try:
+            r = power(f, -k, box)
+            r_wide = power(f_wide, -k, wide)
+        except GPSeriesError:
+            continue  # a refusal claims nothing
+        assert r.eq_within(r_wide)
+        if r.box is None:
+            continue
+        assert box.contains_box(r.box)
+        # P2^k has its exponents in [0, 2k]^n
+        inv = power(add(p1, mul(p3, p2)), -k,
+                    Box(tuple(v - 2 * k for v in r.box.lo), r.box.hi))
+        exact = mul_within(power(p2, k), inv, r.box)
+        assert exact.box == r.box and r.eq_within(exact)
