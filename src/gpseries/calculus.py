@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadVariableIndex, IncompatibleAmbient, ZeroSeries
+from .errors import BadVariableIndex, IncompatibleAmbient
 from .exponents import exp_neg
 from .series import (
     Ambient,
@@ -108,8 +108,6 @@ def differential(f: Series) -> OneForm:
 
 def dlog(f: Series, target_box=None) -> OneForm:
     """df / f.  A target box is needed unless f is a single term."""
-    if f.is_zero():
-        raise ZeroSeries("dlog of the zero series")
     finv = invert(f, target_box)
     return differential(f).scale_by(finv)
 
@@ -167,8 +165,6 @@ def dlog_wedge(fs, target_box=None) -> NForm:
     fs = list(fs)
     prod = fs[0].ambient.one()
     for f in fs:
-        if f.is_zero():
-            raise ZeroSeries("dlog of the zero series")
         prod = mul(prod, f)
     jac = jacobian(fs)
     return NForm(mul(invert(prod, target_box), jac), DX)

@@ -159,7 +159,11 @@ class _Parser:
 
 
 def parse(text: str):
-    return _Parser(tokenize(text)).expr()
+    p = _Parser(tokenize(text))
+    node = p.expr()
+    if p.peek()[0] != "eof":  # input left over after a whole expression
+        p.fail(("operator", "end of input"))
+    return node
 
 
 # -- session configuration and evaluation --------------------------------

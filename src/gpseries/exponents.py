@@ -326,16 +326,15 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
 _CERTIFY_BUDGET = 200_000  # cone points visited before certification gives up
 
 
-def certify_cone_below(order: TermOrder, cone: Cone, bound, box):
+def certify_cone_below(order: TermOrder, cone: Cone, bound, box: Box):
     """Walk ``cone`` from its offset along its generators, checking that
     every cone point strictly below ``bound`` lies in ``box``.  A point at
     or above the bound is a crossing, not walked on: its successors only
     grow.  Return the cone of the points at or above ``bound``: offset
     ``bound``, generators the crossings minus ``bound`` and the old ones,
-    the old bounds (``cone`` itself if ``bound`` is None); or None if a
-    point escapes the box or the budget runs out (the certificate then
-    fails, it never lies)."""
-    bound_key = order.key(bound) if bound is not None else None
+    the old bounds; or None if a point escapes the box or the budget runs
+    out (the certificate then fails, it never lies)."""
+    bound_key = order.key(bound)
     seen = {cone.offset}
     frontier = [cone.offset]
     crossings = []
@@ -345,15 +344,14 @@ def certify_cone_below(order: TermOrder, cone: Cone, bound, box):
         visited += 1
         if visited > _CERTIFY_BUDGET:
             return None
-        if bound_key is not None and order.key(pt) >= bound_key:
+        if order.key(pt) >= bound_key:
             crossings.append(exp_sub(pt, bound))
             continue
-        if box is None or not box.contains(pt):
+        if not box.contains(pt):
             return None
         for g in cone.generators:
             nxt = exp_add(pt, g)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return cone if bound is None else Cone(
-        bound, tuple(crossings) + cone.generators, cone.bounds)
+    return Cone(bound, tuple(crossings) + cone.generators, cone.bounds)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
 from .errors import (
     BoxUnderflow,
+    DimensionMismatch,
     IncompatibleAmbient,
     NotParameters,
     NotRegular,
@@ -135,7 +136,7 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters."""
     idx = tuple(idx)
     if len(idx) != p.n:
-        raise NotParameters(f"index length {len(idx)} != {p.n}")
+        raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
     if working_box is not None:
         return _jacobi_in_box(psi, p, idx, working_box)
     # the certified box of the product shrinks with each multiplication,
@@ -188,7 +189,7 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     lo, hi = idx_box
     lo, hi = tuple(lo), tuple(hi)
     if len(lo) != p.n or len(hi) != p.n:
-        raise NotRegular(f"index bounds must have length {p.n}")
+        raise DimensionMismatch(f"index bounds must have length {p.n}")
 
     # H-offsets: the h range of psi's support shifted by the base exponents
     base = {}

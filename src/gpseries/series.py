@@ -134,8 +134,13 @@ class Series:
         return self.ambient.field
 
     def is_zero(self) -> bool:
-        """True iff certainly zero (empty and exact everywhere)."""
-        return not self.coeffs and self.box is None
+        """True iff certainly zero: nothing is stored, and ``_stored_cut``
+        at partner 0 cuts nothing, as the cone bounds lie inside the box (an
+        exact series always qualifies)."""
+        if self.coeffs:
+            return False
+        lo, hi = _stored_cut(self, *[zero_exp(self.order.k)] * 2)
+        return not any(map(math.isfinite, lo + hi))
 
     def sorted_terms(self):
         return [(g, self.coeffs[g]) for g in self.order.sorted(self.coeffs)]
@@ -235,6 +240,27 @@ def _extents(f: Series):
     if f.box is not None:
         return list(zip(f.box.lo, f.box.hi))
     return _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * f.order.k
+
+
+def _stored_cut(f: Series, olo, ohi, lo=None, hi=None):
+    """The one rule for where a truncated result is known: the box [lo, hi]
+    (unbounded by default) cut, as lists, to the points p where every term of
+    f that a partner exponent in [olo, ohi] can carry to p is stored.  Only
+    where f's cone bounds reach past an end of its box (every end, for a
+    truncated f without a cone; none, for an exact f) is there a cut, and an
+    infinite partner end there leaves it empty."""
+    k = f.order.k
+    lo = [-math.inf] * k if lo is None else list(lo)
+    hi = [math.inf] * k if hi is None else list(hi)
+    if f.box is None:
+        return lo, hi
+    bounds = f.cone.bounds if f.cone is not None else [(-math.inf, math.inf)] * k
+    for c, (mu, nu) in enumerate(bounds):
+        if mu < f.box.lo[c]:
+            lo[c] = max(lo[c], f.box.lo[c] + ohi[c])
+        if nu > f.box.hi[c]:
+            hi[c] = min(hi[c], f.box.hi[c] + olo[c])
+    return lo, hi
 
 
 def _effective_cone(f: Series):
@@ -402,18 +428,25 @@ def _convolve(fld, a: dict, b: dict, region=None) -> dict:
 
 
 def add(f: Series, g: Series) -> Series:
+    """f + g, known where both summands are: a summand's box counts only
+    where its cone bounds reach past it, and where the cut leaves an end
+    open the sum's box goes to the union of the summands' extents."""
     _check_ambient(f, g)
-    try:
-        box = box_intersect(f.box, g.box)
-    except ValueError:
-        raise BoxUnderflow("summand boxes do not overlap") from None
     coeffs = dict(f.coeffs)
     get = coeffs.get
     for e, c in g.coeffs.items():
         coeffs[e] = get(e, 0) + c
     coeffs = f.field.reduce(coeffs)
-    if box is None:
+    if f.box is None and g.box is None:
         return Series(f.ambient, coeffs, None, None)
+    zero = zero_exp(f.order.k)
+    lo, hi = _stored_cut(g, zero, zero, *_stored_cut(f, zero, zero))
+    for c, ((a1, b1), (a2, b2)) in enumerate(zip(_extents(f), _extents(g))):
+        lo[c] = min(a1, a2) if lo[c] == -math.inf else lo[c]
+        hi[c] = max(b1, b2) if hi[c] == math.inf else hi[c]
+    if any(map(operator.gt, lo, hi)):
+        raise BoxUnderflow("summand boxes do not overlap")
+    box = Box(tuple(lo), tuple(hi))
     coeffs = {e: c for e, c in coeffs.items() if box.contains(e)}
     try:
         cone = cone_union(f.order, _effective_cone(f), _effective_cone(g))
@@ -429,36 +462,15 @@ def mul(f: Series, g: Series) -> Series:
 def _product_box(f: Series, g: Series, c1, c2) -> Box:
     """The box in which the product of f and g (not both exact) is
     certified: every pair that can land there is stored in the operands."""
-    k = f.order.k
-    lo = [-math.inf] * k
-    hi = [math.inf] * k
-    for mine, mine_bounds, other_bounds in ((f, c1.bounds, c2.bounds),
-                                            (g, c2.bounds, c1.bounds)):
-        if mine.box is None:
-            continue
-        for c in range(k):
-            mlo, mhi = mine_bounds[c]
-            olo, ohi = other_bounds[c]
-            # every contributing exponent of `mine` must be >= its box.lo
-            if mlo < mine.box.lo[c]:
-                if ohi == math.inf:
-                    raise BoxUnderflow(
-                        f"cannot certify coordinate {c}: unbounded overlap below")
-                lo[c] = max(lo[c], mine.box.lo[c] + ohi)
-            # ... and <= its box.hi
-            if mhi > mine.box.hi[c]:
-                if olo == -math.inf:
-                    raise BoxUnderflow(
-                        f"cannot certify coordinate {c}: unbounded overlap above")
-                hi[c] = min(hi[c], mine.box.hi[c] + olo)
-    # an infinite end means any bound in that direction is certifiable; fall
-    # back to the sum of the operands' extents
+    lo, hi = _stored_cut(g, *zip(*c1.bounds), *_stored_cut(f, *zip(*c2.bounds)))
+    # an end the cuts left open is certifiable at any bound; fall back to
+    # the sum of the operands' extents
     for c, ((a1, b1), (a2, b2)) in enumerate(zip(_extents(f), _extents(g))):
         if lo[c] == -math.inf:
             lo[c] = min(a1 + a2, hi[c])
         if hi[c] == math.inf:
             hi[c] = max(b1 + b2, lo[c])
-        if lo[c] > hi[c]:
+        if not -math.inf < lo[c] <= hi[c] < math.inf:
             raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
     return Box(tuple(lo), tuple(hi))
 
@@ -495,12 +507,8 @@ def truncate(f: Series, smaller_box: Box) -> Series:
     if f.box is not None and not f.box.contains_box(smaller_box):
         raise BoxNotContained("target box is not contained in the current box")
     coeffs = {g: c for g, c in f.coeffs.items() if smaller_box.contains(g)}
-    if f.box is not None:
-        cone = f.cone
-    elif f.coeffs:
-        cone = _effective_cone(f)
-    else:
-        cone = Cone(zero_exp(f.order.k), ())
+    cone = f.cone if f.box is not None else (
+        _effective_cone(f) or Cone(zero_exp(f.order.k), ()))
     return Series(f.ambient, coeffs, smaller_box, cone)
 
 
@@ -513,10 +521,8 @@ def factorize(f: Series):
     """
     order = f.order
     if not f.coeffs:
-        if f.box is None:
+        if f.is_zero():
             raise ZeroSeries("cannot factorize the zero series")
-        if f.cone is not None and certify_cone_below(order, f.cone, None, f.box):
-            raise ZeroSeries("series is certifiably zero")
         raise LeadingTermUncertain("empty within box but support may exist outside")
     g = order.min(f.coeffs)
     cone = f.cone
@@ -561,9 +567,9 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
     ``power_exhaustion_bound`` over ``_bound_support_set(f)``, which also
     generates the result's cone.  Powers are accumulated with pruning: after
     i factors, only exponents that can still reach the box with the
-    remaining i_max - i factors are kept.  When f is truncated, the box is
-    cut, as ``mul_within`` cuts a product, to where every factor that can
-    reach it is stored; the result is exact in the box it returns.  The base
+    remaining i_max - i factors are kept.  When f is truncated, ``_stored_cut``
+    cuts the box to where every factor that can reach it is stored; the
+    result is exact in the box it returns.  The base
     is packed once, in one layout wide enough for every step, and the
     running power stays packed through all i_max steps; over Q it stays an
     int map over the base's denominator to the i-th power, and the sum is
@@ -582,18 +588,14 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
     ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
     bounds = ext if f.box is None else f.cone.bounds
     if f.box is not None and i_max >= 1:
-        lo, hi = list(box.lo), list(box.hi)
-        for c, (mu, nu) in enumerate(bounds):
-            # the other factors of a sum in the box add [down, up] to it
-            up = max(0, _times(i_max - 1, nu))
-            down = min(0, _times(i_max - 1, mu))
-            if max(mu, lo[c] - up) > min(nu, hi[c] - down):
-                i_max = 0  # no single factor fits: only the constant term
-                break
-            # as mul_within does: keep where every such factor is stored
-            lo[c] = max(lo[c], f.box.lo[c] + up) if mu < f.box.lo[c] else lo[c]
-            hi[c] = min(hi[c], f.box.hi[c] + down) if nu > f.box.hi[c] else hi[c]
+        # the other factors of a sum in the box add [down, up] to it
+        down = [min(0, _times(i_max - 1, mu)) for mu, _ in bounds]
+        up = [max(0, _times(i_max - 1, nu)) for _, nu in bounds]
+        if any(max(mu, a - u) > min(nu, b - d) for (mu, nu), a, b, d, u
+               in zip(bounds, box.lo, box.hi, down, up)):
+            i_max = 0  # no single factor fits: only the constant term
         else:
+            lo, hi = _stored_cut(f, down, up, box.lo, box.hi)
             if any(map(operator.gt, lo, hi)):
                 raise BoxUnderflow("no point of the target box has its factors stored")
             box = Box(tuple(lo), tuple(hi))
@@ -695,8 +697,7 @@ def power(f: Series, k: int, target_box=None) -> Series:
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)
-    if tail.is_zero() or not tail.coeffs and tail.box is not None and \
-            certify_cone_below(f.order, tail.cone, None, tail.box):
+    if tail.is_zero():
         return f.ambient.monomial(ak, kg)
     if target_box is None:
         raise BoxUnderflow("inverting a non-monomial requires a target box")
@@ -726,7 +727,7 @@ def h_coefficient_at(f: Series, monomial_exps) -> Series:
     split = f.split
     j = tuple(monomial_exps)
     if len(j) != split.n:
-        raise OutsideBox(f"expected {split.n} monomial exponents, got {len(j)}")
+        raise DimensionMismatch(f"expected {split.n} monomial exponents, got {len(j)}")
     if f.box is not None:
         for i, ji in enumerate(j):
             if not (f.box.lo[split.m + i] <= ji <= f.box.hi[split.m + i]):

@@ -78,6 +78,13 @@ def test_parse_trailing_operator():
     assert e.value.line == 1
 
 
+@pytest.mark.parametrize("text", ["(1+X))*5", "2 X", "X^2^3"])
+def test_trailing_input_exits_two(capsys, text):
+    # a token after a whole expression is a parse error, not ignored
+    assert run(["eval", text]) == 2
+    assert "expected one of: operator, end of input" in capsys.readouterr().err
+
+
 def test_parse_precedence():
     # '^' binds tightest, then unary minus, '*' over '+'
     assert parse("-X^2") == ("neg", ("pow", ("var", "X"), 2))
@@ -211,6 +218,13 @@ def test_missing_box_exits_two(capsys):
      "2 - 3*X + 6*X^2 - 12*X^3 + 24*X^4 - 48*X^5 + 96*X^6 - 192*X^7\n"),
     # the tail of -2X/(-1 - 3X) is stored to X^8 only: the answer is cut there
     (["eval", "(-3)/((-2*X)/(-1 - 3*X))", "--box=0..9"], "-9/2\n"),
+    # -3X/(1 + X) is known below its box, where its cone bounds keep it
+    # zero, so the sum keeps the constant 2 that leads the divisor
+    (["eval", "(3)/((-3*X)/(1 + X)+(2))", "--box=0..8"],
+     "3/2 + 9/4*X + 9/8*X^2 + 9/16*X^3 + 9/32*X^4 + 9/64*X^5 + 9/128*X^6"
+     " + 9/256*X^7 + 9/512*X^8\n"),
+    (["eval", "(-2 + 2*X)/((X)/(-1 - X)+(1))", "--box=0..10", "--field",
+      "fp:13"], "11 + 2*X^2\n"),
 ])
 def test_nested_division_answers(capsys, argv, out):
     assert run(argv) == 0

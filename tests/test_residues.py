@@ -5,7 +5,12 @@ import pytest
 
 from gpseries import Box, PrimeField, QQ
 from gpseries.calculus import DLOGX, NForm, dlog_wedge
-from gpseries.errors import NotParameters, NotRegular, ZeroSeries
+from gpseries.errors import (
+    DimensionMismatch,
+    NotParameters,
+    NotRegular,
+    ZeroSeries,
+)
 from gpseries.exponents import box_intersect
 from gpseries.residues import (
     GeneralizedFraction,
@@ -20,7 +25,7 @@ from gpseries.residues import (
     represent,
     residue,
 )
-from gpseries.series import add, mul, power
+from gpseries.series import add, h_coefficient_at, mul, power
 
 from conftest import make_ambient, random_unimodular, random_unit_series
 
@@ -120,6 +125,18 @@ def test_represent_examples():
     rep2 = represent(x, p2, ((1,), (4,)))
     for i, expect in enumerate(REVERSION[:4], start=1):
         assert rep2[(i,)].coefficient_at((0,)) == expect
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, p: h_coefficient_at(x, (1, 2)),
+    lambda x, p: represent(x, p, ((1, 1), (2, 2))),
+    lambda x, p: jacobi_coefficient(x, p, (0, 0)),
+], ids=["h_coefficient_at", "represent", "jacobi_coefficient"])
+def test_wrong_index_length_is_a_dimension_mismatch(call):
+    amb = make_ambient(1)
+    x = amb.var(1)
+    with pytest.raises(DimensionMismatch):
+        call(x, check_parameters([mul(x, amb.one() + x)]))
 
 
 def test_represent_requires_regular():

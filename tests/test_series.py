@@ -12,6 +12,7 @@ from gpseries import (
     Box,
     BoxNotContained,
     BoxUnderflow,
+    Cone,
     DimensionMismatch,
     GPSeriesError,
     GroupSplit,
@@ -89,6 +90,29 @@ def test_factorize_scaled():
 def test_factorize_zero_raises():
     with pytest.raises(ZeroSeries):
         factorize(AMB1.zero())
+
+
+def test_is_zero_reads_the_cone_bounds():
+    """Nothing stored and cone bounds inside the box: certifiably zero,
+    even for a cone with generators."""
+    amb = make_ambient(1)
+    box = Box((0,), (5,))
+    h = amb.series({}, box, Cone((1,), ((1,),), ((1, 3),)))
+    assert h.is_zero()
+    with pytest.raises(ZeroSeries):
+        factorize(h)
+    inv = power(amb.one() + h, -1, box)
+    assert inv.box is None and inv.coeffs == {(0,): 1}
+    # unbounded cone bounds reach past the box: the support may lie there
+    h = amb.series({}, box, Cone((1,), ((1,),)))
+    assert not h.is_zero()
+    with pytest.raises(LeadingTermUncertain):
+        factorize(h)
+    # an offset alone inside the box is zero; generators past it are not
+    amb2 = make_ambient(2)
+    assert amb2.series({}, Box((0, 0), (1, 0)), Cone((1, 0), ())).is_zero()
+    assert not amb2.series({}, Box((-1, 0), (5, 0)),
+                           Cone((-1, 0), ((2, 0), (3, 0)))).is_zero()
 
 
 def test_factorize_reassemble_random():
@@ -597,7 +621,9 @@ def _nested_divisor_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_nested_divisor_inputs())
 def test_truncated_powers_agree_in_nested_boxes(inputs):
-    """A negative power of a truncated divisor is exact in the box it
+    """The truncated divisor f = P1/P2 + P3 agrees with the one built in a
+    wider box and with the exact (P1 + P3 P2)/P2 in its box, and is zero
+    only if P1 + P3 P2 is.  A negative power of it is exact in the box it
     returns, which lies in the target box: it agrees with the power taken
     in a wider box and with the exact quotient P2^k / (P1 + P3 P2)^k, and
     every tail factorize gives has a cone at offset 0."""
@@ -606,6 +632,13 @@ def test_truncated_powers_agree_in_nested_boxes(inputs):
         f, f_wide = (add(mul(p1, invert(p2, b)), p3) for b in (box, wide))
     except GPSeriesError:
         return
+    assert f.eq_within(f_wide)
+    num = add(p1, mul(p3, p2))  # its exponents lie in [0, 3]^n
+    if f.box is not None:
+        inv = invert(p2, Box(tuple(v - 3 for v in f.box.lo), f.box.hi))
+        assert f.eq_within(mul_within(num, inv, f.box))
+    if f.is_zero():
+        assert num.is_zero()
     for q in (f, f_wide):
         try:
             tail = factorize(q)[2]
