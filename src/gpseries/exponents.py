@@ -255,12 +255,7 @@ def make_cone(order: TermOrder, offset: Exponent, generators,
 
 
 def cone_union(order: TermOrder, c1, c2):
-    """Certificate for a sum: covers both supports.  None stands for an
-    empty support (an exact zero summand) and contributes nothing."""
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
+    """Certificate for a sum: covers both supports."""
     offset = order.min((c1.offset, c2.offset))  # the differences are >= 0
     return Cone(offset, c1.generators + c2.generators + tuple(
         exp_sub(off, offset) for off in (c1.offset, c2.offset)), tuple(

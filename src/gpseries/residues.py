@@ -137,27 +137,29 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     idx = tuple(idx)
     if len(idx) != p.n:
         raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
+    psi_j = mul(psi, jacobian(p.members))  # the same in every working box
     if working_box is not None:
-        return _jacobi_in_box(psi, p, idx, working_box)
+        return _jacobi_in_box(psi_j, p, idx, working_box)
     # the certified box of the product shrinks with each multiplication,
     # so retry with a larger working box if the zero slice falls out
     last = None
     for scale in (1, 2, 4, 8):
         try:
             box = _default_working_box(p, idx, scale)
-            return _jacobi_in_box(psi, p, idx, box)
+            return _jacobi_in_box(psi_j, p, idx, box)
         except (OutsideBox, BoxUnderflow) as exc:
             last = exc
     raise last
 
 
-def _jacobi_in_box(psi: Series, p: ParameterSystem, idx,
+def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
                    working_box: Box) -> Series:
     """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
     numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
-    only the X^-1 slab: the last product is computed there alone."""
-    num, *middle, last = [psi, jacobian(p.members)] + [
-        power(f, -i - 1, working_box) for f, i in zip(p.members, idx)]
+    only the X^-1 slab: the last product is computed there alone.  ``num``
+    is psi J(Phi)."""
+    *middle, last = [power(f, -i - 1, working_box)
+                     for f, i in zip(p.members, idx)]
     for f in middle:
         num = mul(num, f)
     if num.box is None and last.box is None:
@@ -238,11 +240,13 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
             return u
         u = psi.ambient.one()
         for (one_plus, cache), i in zip(member_powers, idx):
-            pw = cache.get(i)
-            if pw is None:
-                pw = power(one_plus, i, working_box)
-                cache[i] = pw
-            u = mul(u, pw)
+            if i not in cache:
+                if i < 0:
+                    cache[i] = power(one_plus, i, working_box)
+                # the positive powers cached are 0..max: one product each
+                for j in range(max(cache) + 1, i + 1):
+                    cache[j] = mul(cache[j - 1], one_plus)
+            u = mul(u, cache[i])
         units[idx] = u
         return u
 

@@ -366,28 +366,18 @@ def _pair_loop(xs, ys, window, guard) -> dict:
     return out
 
 
-def _reach(keys, ext, lo, hi) -> dict:
-    """The terms of ``keys`` that some exponent within the extents ``ext``
-    can carry into the region [lo, hi]."""
-    rlo = [a - e for a, (_, e) in zip(lo, ext)]
-    rhi = [b - e for b, (e, _) in zip(hi, ext)]
-    le = operator.le
-    return {g: c for g, c in keys.items()
-            if all(map(le, rlo, g)) and all(map(le, g, rhi))}
-
-
 def _convolve(fld, a: dict, b: dict, region=None) -> dict:
     """Coefficient convolution of two coefficient maps, restricted to the
     result exponents inside ``region`` = (lo, hi), whose ends may be
     infinite; the field reduces each result term once.
 
-    With a region, each operand is first cut to the terms that the other
-    can carry into it, exponents are packed for the pair loop and unpacked
-    for the result only, and coefficients become ints by the field's
-    common denominator.  Without one (the exact product of two exact
-    series) the pairs are summed as tuples: such operands are small, and
-    sending them through the packed loop cut the benchmark's cli-session
-    from 319-333 to 206-212 cases/s (seeds 1-3).
+    With a region, exponents are packed for the pair loop and unpacked for
+    the result only, the packed window alone decides which pairs are
+    formed, and coefficients become ints by the field's common
+    denominator.  Without one (the exact product of two exact series) the
+    pairs are summed as tuples: such operands are small, and replaying the
+    11,655 such calls of a seed-1 cli-session pass through the packed loop
+    took 0.78 s against 0.30 s (process time).
     """
     if not a or not b:
         return {}
@@ -403,21 +393,13 @@ def _convolve(fld, a: dict, b: dict, region=None) -> dict:
                 out[g] = get(g, 0) + c1 * c2
         return fld.reduce(out)
     lo, hi = region
-    a = _reach(a, _key_extents(b), lo, hi)
-    if not a:
-        return {}
     ea = _key_extents(a)
-    b = _reach(b, ea, lo, hi)
-    if not b:
-        return {}
     eb = _key_extents(b)
     pk = _Packing([x + y for (x, _), (y, _) in zip(ea, eb)],
                   [x + y for (_, x), (_, y) in zip(ea, eb)], (lo, hi))
     window = pk.window(lo, hi)
     if window is None:
         return {}
-    if len(a) > len(b):
-        a, b = b, a
     a, da = fld.integral(a)
     b, db = fld.integral(b)
     out = _pair_loop([(pk.pack(g), c) for g, c in a.items()],
@@ -430,8 +412,13 @@ def _convolve(fld, a: dict, b: dict, region=None) -> dict:
 def add(f: Series, g: Series) -> Series:
     """f + g, known where both summands are: a summand's box counts only
     where its cone bounds reach past it, and where the cut leaves an end
-    open the sum's box goes to the union of the summands' extents."""
+    open the sum's box goes to the union of the summands' extents.  A
+    summand that is certainly zero leaves the other unchanged."""
     _check_ambient(f, g)
+    if g.is_zero():
+        return f
+    if f.is_zero():
+        return g
     coeffs = dict(f.coeffs)
     get = coeffs.get
     for e, c in g.coeffs.items():
@@ -574,9 +561,9 @@ def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
     running power stays packed through all i_max steps; over Q it stays an
     int map over the base's denominator to the i-th power, and the sum is
     divided once.  Calling ``_convolve`` at each step instead, which
-    packs and unpacks both operands every time, cut the benchmark's
-    jacobi-recovery from 118-132 to 96-99 cases/s and raised its
-    dyson-routes p50 from 0.49-0.53 to 0.70-0.78 ms (seeds 1-3).
+    packs and unpacks both operands every time, took a seed-1 pass of the
+    benchmark's jacobi-recovery from 0.28-0.33 to 0.35-0.38 s and of its
+    dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
     """
     ambient = f.ambient
     fld = f.field

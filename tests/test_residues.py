@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box, PrimeField, QQ
-from gpseries.calculus import DLOGX, NForm, dlog_wedge
+from gpseries import Box, PrimeField, QQ, residues
+from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian
 from gpseries.errors import (
     DimensionMismatch,
     NotParameters,
@@ -125,6 +125,33 @@ def test_represent_examples():
     rep2 = represent(x, p2, ((1,), (4,)))
     for i, expect in enumerate(REVERSION[:4], start=1):
         assert rep2[(i,)].coefficient_at((0,)) == expect
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_represent_negative_degrees(field):
+    """Negative degrees read the working box: X^-1 over X + X^2."""
+    amb = make_ambient(1, field=field)
+    x, p = amb.var(1, -1), check_parameters([add(amb.var(1), amb.var(1, 2))])
+    rep = represent(x, p, ((-2,), (2,)))
+    got = {i: phi.coefficient_at((0,)) for (i,), phi in rep.items()}
+    assert got == {-2: 0, -1: 1, 0: 1, 1: field.coerce(-1), 2: 2}
+    for idx, phi in rep.items():
+        assert phi.eq_within(jacobi_coefficient(x, p, idx))
+
+
+def test_jacobi_builds_one_jacobian_per_call(monkeypatch):
+    """psi J(Phi) does not depend on the working box, so a call that
+    retries in a wider box still builds the Jacobian once."""
+    calls = []
+    monkeypatch.setattr(residues, "jacobian",
+                        lambda members: calls.append(1) or jacobian(members))
+    amb = make_ambient(1)
+    x = amb.var(1)
+    p = check_parameters([add(x, mul(x, x))])
+    for k in range(6, 13):
+        jacobi_coefficient(mul(amb.var(1, -k), power(amb.one() + x, 12)), p,
+                           (0,))
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("call", [

@@ -115,6 +115,18 @@ def test_is_zero_reads_the_cone_bounds():
                            Cone((-1, 0), ((2, 0), (3, 0)))).is_zero()
 
 
+def test_adding_zero_keeps_the_box():
+    """A summand that is certainly zero, exact or truncated, leaves the
+    other unchanged: its extents do not widen the box to the origin."""
+    amb = make_ambient(1)
+    g = mul(amb.var(1, 10), invert(amb.one() - amb.var(1), Box((0,), (10,))))
+    assert g.box == Box((10,), (20,))
+    h = amb.series({}, Box((0,), (5,)), Cone((1,), ((1,),), ((1, 3),)))
+    for z in (amb.zero(), h):
+        for s in (add(g, z), add(z, g)):
+            assert (s.coeffs, s.box, s.cone) == (g.coeffs, g.box, g.cone)
+
+
 def test_factorize_reassemble_random():
     rng = random.Random(7)
     for _ in range(30):
@@ -626,7 +638,9 @@ def test_truncated_powers_agree_in_nested_boxes(inputs):
     only if P1 + P3 P2 is.  A negative power of it is exact in the box it
     returns, which lies in the target box: it agrees with the power taken
     in a wider box and with the exact quotient P2^k / (P1 + P3 P2)^k, and
-    every tail factorize gives has a cone at offset 0."""
+    every tail factorize gives has a cone at offset 0.  A substitution
+    into the tail, finite or not, agrees with the one into the wider
+    tail, and lies in its target box."""
     amb, p1, p2, p3, box, wide = inputs
     try:
         f, f_wide = (add(mul(p1, invert(p2, b)), p3) for b in (box, wide))
@@ -639,6 +653,7 @@ def test_truncated_powers_agree_in_nested_boxes(inputs):
         assert f.eq_within(mul_within(num, inv, f.box))
     if f.is_zero():
         assert num.is_zero()
+    tails = []
     for q in (f, f_wide):
         try:
             tail = factorize(q)[2]
@@ -646,6 +661,16 @@ def test_truncated_powers_agree_in_nested_boxes(inputs):
             continue
         assert tail.box is None or tail.cone.offset == (0,) * amb.k
         _assert_cone_checks(amb.order, tail)
+        tails.append(tail)
+    for c in ((1, -2, 3), lambda i: i + 1) if len(tails) == 2 else ():
+        try:
+            r, r_wide = (substitute(c, t, b) for t, b in zip(tails, (box, wide)))
+        except GPSeriesError:
+            continue
+        assert r.eq_within(r_wide)
+        for q, b in ((r, box), (r_wide, wide)):
+            assert q.box is None or b.contains_box(q.box)
+            _assert_cone_checks(amb.order, q)
     for k in (1, 2, 3):
         try:
             r = power(f, -k, box)
