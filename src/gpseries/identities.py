@@ -1,13 +1,16 @@
 """Constant-term identities checked through residues.
 
 Implements the Dyson constant-term verifier three ways: direct Laurent
-expansion, Wilson's route through the parameters (X_1, Phi_2, ..., Phi_n)
-with Phi_i the inverted products prod_{j != i} (1 - X_i/X_j), and the
-Egorychev route through the alternants Upsilon_i.
+expansion, keeping after each factor only the terms that the factors
+still to come can carry to the constant term, Wilson's route through the
+parameters (X_1, Phi_2, ..., Phi_n) with Phi_i the inverted products
+prod_{j != i} (1 - X_i/X_j), and the Egorychev route through the
+alternants Upsilon_i.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,10 +36,13 @@ class DysonInstance:
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
+        try:
+            object.__setattr__(self, "a", tuple(self.a))
+        except TypeError:
+            raise BadDimension("exponents must be a sequence") from None
         if len(self.a) < 2:
             raise BadDimension("need at least two exponents")
-        if any(x < 0 or not isinstance(x, int) for x in self.a):
+        if any(not isinstance(x, int) or x < 0 for x in self.a):
             raise BadDimension("exponents must be nonnegative integers")
 
     @property
@@ -54,24 +60,35 @@ def _int_convolve(p: dict, q: dict) -> dict:
 
 
 def dyson_lhs(inst: DysonInstance) -> Fraction:
-    """Constant term of prod_{i != j} (1 - X_i/X_j)^{a_i}, by exact
-    expansion of the Laurent polynomial over plain integers."""
-    n = inst.n
+    """Constant term of prod_{i != j} (1 - X_i/X_j)^{a_i}, by expansion of
+    the Laurent polynomial over plain integers.
+
+    Only terms that can still reach the constant term are kept. The
+    factors still to come span, in each coordinate c, the sum of their
+    extents [lo_c, hi_c]: [0, a_i] in coordinate i and [-a_i, 0] in
+    coordinate j for (1 - X_i/X_j)^{a_i}. A term g of the partial product
+    meets exponent 0 only if lo_c <= -g_c <= hi_c for every c, so dropping
+    the other terms leaves the constant term exact. The factors come in
+    pairs (i, j), (j, i) along one line, and a factor narrows the reach
+    only in its coordinates i and j, so those are the two tested."""
+    n, a = inst.n, inst.a
+    hi = [(n - 1) * x for x in a]
+    lo = [x - sum(a) for x in a]
+    order = [p for i, j in itertools.combinations(range(n), 2)
+             for p in ((i, j), (j, i))]
     prod = {zero_exp(n): 1}
-    for i in range(n):
-        ai = inst.a[i]
+    for i, j in order:
+        ai = a[i]
         if ai == 0:
             continue
-        for j in range(n):
-            if j == i:
-                continue
-            step = tuple((1 if c == i else -1 if c == j else 0)
-                         for c in range(n))
-            factor = {}
-            for t in range(ai + 1):
-                g = tuple(t * v for v in step)
-                factor[g] = (-1) ** t * math.comb(ai, t)
-            prod = _int_convolve(prod, factor)
+        hi[i] -= ai
+        lo[j] += ai
+        factor = {}
+        for t in range(ai + 1):
+            g = tuple(t if c == i else -t if c == j else 0 for c in range(n))
+            factor[g] = (-1) ** t * math.comb(ai, t)
+        prod = {g: c for g, c in _int_convolve(prod, factor).items()
+                if -hi[i] <= g[i] <= -lo[i] and -hi[j] <= g[j] <= -lo[j]}
     return Fraction(prod.get(zero_exp(n), 0))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box
+from gpseries import Box, identities
 from gpseries.errors import BadDimension
 from gpseries.identities import (
     DysonInstance,
@@ -38,6 +38,12 @@ def test_instance_validation():
         DysonInstance((3,))
     with pytest.raises(BadDimension):
         DysonInstance((1, -1))
+    with pytest.raises(BadDimension):
+        DysonInstance(("1", 2))
+    with pytest.raises(BadDimension):
+        DysonInstance((None, 2))
+    with pytest.raises(BadDimension):
+        DysonInstance(None)
     assert DysonInstance([2, 0, 1]).n == 3
 
 
@@ -53,9 +59,52 @@ def test_direct_against_brute_force():
 
 
 def test_direct_matches_multinomial():
-    for a in [(0, 0), (3, 2), (1, 2, 3), (2, 2, 1, 1)]:
+    every = [a for n, amax in ((5, 2), (4, 3))
+             for a in itertools.product(range(amax + 1), repeat=n)]
+    for a in [(0, 0), (3, 2), (1, 2, 3), (2, 2, 1, 1)] + every:
         lhs, rhs, ok = dyson_verify(DysonInstance(a), "direct")
         assert ok, (a, lhs, rhs)
+
+
+def _full_expansion_ct(a):
+    """Reference: expand every factor of prod_{i != j} (1 - X_i/X_j)^{a_i}
+    into one Laurent polynomial, then read its constant term."""
+    n = len(a)
+    prod = {(0,) * n: 1}
+    for i in range(n):
+        for j in range(n):
+            if j == i or a[i] == 0:
+                continue
+            out = {}
+            for g, c in prod.items():
+                for t in range(a[i] + 1):
+                    h = tuple(g[k] + (t if k == i else -t if k == j else 0)
+                              for k in range(n))
+                    out[h] = out.get(h, 0) + c * (-1) ** t * math.comb(a[i], t)
+            prod = {h: c for h, c in out.items() if c}
+    return prod.get((0,) * n, 0)
+
+
+def test_direct_matches_full_expansion():
+    rng = random.Random(14)
+    for _ in range(30):
+        a = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 4)))
+        assert dyson_lhs(DysonInstance(a)) == _full_expansion_ct(a), a
+
+
+def test_direct_keeps_only_terms_that_reach_zero(monkeypatch):
+    # the full expansion at (2,2,2,2,2) grows to 38,621 terms
+    sizes = []
+    convolve = identities._int_convolve
+
+    def recording(p, q):
+        out = convolve(p, q)
+        sizes.extend((len(p), len(out)))
+        return out
+
+    monkeypatch.setattr(identities, "_int_convolve", recording)
+    assert dyson_lhs(DysonInstance((2, 2, 2, 2, 2))) == 113400
+    assert sizes and max(sizes) < 1000
 
 
 def test_direct_symmetric_in_exponents():
