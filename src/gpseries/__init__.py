@@ -49,6 +49,7 @@ from .series import (
     invert,
     log1p,
     mul,
+    mul_chain,
     mul_within,
     power,
     series_from_json,

@@ -26,6 +26,7 @@ from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
 from .series import (
     Ambient,
     Series,
+    _check_box,
     _extents,
     _key_extents,
     add,
@@ -33,7 +34,7 @@ from .series import (
     h_box,
     h_coefficient_at,
     mul,
-    mul_within,
+    mul_chain,
     power,
     series_from_json,
     series_to_json,
@@ -137,6 +138,7 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     idx = tuple(idx)
     if len(idx) != p.n:
         raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
+    _check_box(p.ambient, working_box)
     psi_j = mul(psi, jacobian(p.members))  # the same in every working box
     if working_box is not None:
         return _jacobi_in_box(psi_j, p, idx, working_box)
@@ -156,21 +158,17 @@ def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
                    working_box: Box) -> Series:
     """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
     numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
-    only the X^-1 slab: the last product is computed there alone.  ``num``
-    is psi J(Phi)."""
-    *middle, last = [power(f, -i - 1, working_box)
-                     for f, i in zip(p.members, idx)]
-    for f in middle:
-        num = mul(num, f)
-    if num.box is None and last.box is None:
-        num = mul(num, last)  # exact everywhere, and so is the answer
-    else:
-        # H coordinates unbounded: mul_within cuts them to the certified
-        # product box
-        m = p.ambient.split.m
-        num = mul_within(num, last, Box((-math.inf,) * m + (-1,) * p.n,
-                                        (math.inf,) * m + (-1,) * p.n))
-    return residue(GeneralizedFraction(NForm(num), p))
+    only the X^-1 slab: one ``mul_chain`` forms each partial product only
+    where the factors still to come can carry it there.  ``num`` is
+    psi J(Phi)."""
+    factors = [num] + [power(f, -i - 1, working_box)
+                       for f, i in zip(p.members, idx)]
+    # an exact chain is exact everywhere, and so is the answer; otherwise
+    # the slab's H coordinates are cut to the certified product box
+    m = p.ambient.split.m
+    slab = None if all(f.box is None for f in factors) else Box(
+        (-math.inf,) * m + (-1,) * p.n, (math.inf,) * m + (-1,) * p.n)
+    return residue(GeneralizedFraction(NForm(mul_chain(factors, slab)), p))
 
 
 def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:
@@ -192,6 +190,7 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     lo, hi = tuple(lo), tuple(hi)
     if len(lo) != p.n or len(hi) != p.n:
         raise DimensionMismatch(f"index bounds must have length {p.n}")
+    _check_box(p.ambient, working_box)
 
     # H-offsets: the h range of psi's support shifted by the base exponents
     base = {}

@@ -229,6 +229,13 @@ def _check_ambient(f: Series, g: Series):
         raise IncompatibleAmbient("operands live over different ambients")
 
 
+def _check_box(ambient: Ambient, box):
+    """A caller's box (None allowed) has one coordinate per coordinate of G."""
+    if box is not None and box.k != ambient.k:
+        raise DimensionMismatch(
+            f"box has {box.k} coordinates, the ambient has {ambient.k}")
+
+
 def _key_extents(keys):
     """Per-coordinate (min, max) over a nonempty collection of exponents."""
     return [(min(col), max(col)) for col in zip(*keys)]
@@ -443,7 +450,7 @@ def add(f: Series, g: Series) -> Series:
 
 
 def mul(f: Series, g: Series) -> Series:
-    return mul_within(f, g, None)
+    return mul_chain((f, g), None)
 
 
 def _product_box(f: Series, g: Series, c1, c2) -> Box:
@@ -463,34 +470,61 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
 
 
 def mul_within(f: Series, g: Series, box) -> Series:
-    """The product f*g, computed only inside ``box`` (None: the whole
-    certified product box; everywhere if both operands are exact).
+    """The product f*g, computed only inside ``box``: ``mul_chain`` of the
+    two factors."""
+    return mul_chain((f, g), box)
 
-    The result is exact in the certified product box cut to ``box``; a
-    ``box`` that misses the certified box raises BoxUnderflow.  Only pairs
-    that can land in the result box are enumerated.
+
+def mul_chain(factors, box) -> Series:
+    """The product of two or more factors, multiplied left to right and
+    computed only inside ``box`` (None: the whole certified product box;
+    everywhere if every factor is exact).
+
+    Each step certifies its box by ``_product_box`` as ``mul`` would, and
+    the last step's box is cut to ``box``; a ``box`` that misses the
+    certified box raises BoxUnderflow.  A truncated partial product keeps
+    its certified box, which the next step reads, but forms only the terms
+    that the stored terms of the factors still to come can carry into
+    ``box``: those in ``box`` minus the sum of their key extents.  An exact
+    partial product is formed whole, since its keys are its certificate.
     """
-    _check_ambient(f, g)
-    if f.is_zero() or g.is_zero():
-        return f.ambient.zero()
-    if box is None and f.box is None and g.box is None:
-        return Series(f.ambient, _convolve(f.field, f.coeffs, g.coeffs),
-                      None, None)
-    c1 = _effective_cone(f)
-    c2 = _effective_cone(g)
-    target = box
-    if f.box is not None or g.box is not None:
-        try:
-            target = box_intersect(_product_box(f, g, c1, c2), box)
-        except ValueError:
-            raise BoxUnderflow(
-                "target box lies outside the certified product box") from None
-    cone = cone_sum(c1, c2)
-    return Series(f.ambient, _convolve(f.field, f.coeffs, g.coeffs,
-                                       (target.lo, target.hi)), target, cone)
+    f, *rest = factors
+    ambient = f.ambient
+    for g in rest:
+        _check_ambient(f, g)
+    _check_box(ambient, box)
+    if any(map(Series.is_zero, factors)):
+        return ambient.zero()
+    fld = ambient.field
+    for j, g in enumerate(rest, 2):  # factors[j:] are still to come
+        target = box if j == len(factors) else None
+        if target is None and f.box is None and g.box is None:
+            f = Series(ambient, _convolve(fld, f.coeffs, g.coeffs), None, None)
+            continue
+        c1 = _effective_cone(f)
+        c2 = _effective_cone(g)
+        if f.box is not None or g.box is not None:
+            try:
+                target = box_intersect(_product_box(f, g, c1, c2), target)
+            except ValueError:
+                raise BoxUnderflow(
+                    "target box lies outside the certified product box") from None
+        lo, hi = target.lo, target.hi
+        if box is not None and j < len(factors):
+            # the reach of box: box minus the key extents of the factors
+            # still to come (one without stored terms leaves nothing anyway)
+            ext = [_key_extents(h.coeffs) for h in factors[j:] if h.coeffs]
+            lo = [max(a, b - sum(e[c][1] for e in ext))
+                  for c, (a, b) in enumerate(zip(lo, box.lo))]
+            hi = [min(a, b - sum(e[c][0] for e in ext))
+                  for c, (a, b) in enumerate(zip(hi, box.hi))]
+        f = Series(ambient, _convolve(fld, f.coeffs, g.coeffs, (lo, hi)),
+                   target, cone_sum(c1, c2))
+    return f
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
+    _check_box(f.ambient, smaller_box)
     if f.box is not None and not f.box.contains_box(smaller_box):
         raise BoxNotContained("target box is not contained in the current box")
     coeffs = {g: c for g, c in f.coeffs.items() if smaller_box.contains(g)}
@@ -638,6 +672,7 @@ def substitute(c, f: Series, target_box=None) -> Series:
     ``c`` is a finite sequence or a callable i -> scalar.  A target box is
     required unless ``c`` is finite (the polynomial case).
     """
+    _check_box(f.ambient, target_box)
     try:
         _, g, tail = factorize(f)
     except ZeroSeries:
@@ -676,6 +711,7 @@ def power(f: Series, k: int, target_box=None) -> Series:
     factorization f = a e^g (1 + tail), whose tail is positive with the cone
     factorize certified: f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in
     the target box cut by ``_sum_powers`` where the tail is not stored."""
+    _check_box(f.ambient, target_box)
     if k >= 0:
         out = f.ambient.one()
         for _ in range(k):

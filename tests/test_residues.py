@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box, PrimeField, QQ, residues
+from gpseries import Box, PrimeField, QQ, residues, series
 from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian
 from gpseries.errors import (
     DimensionMismatch,
@@ -25,7 +25,16 @@ from gpseries.residues import (
     represent,
     residue,
 )
-from gpseries.series import add, h_coefficient_at, mul, power
+from gpseries.series import (
+    add,
+    h_coefficient_at,
+    invert,
+    mul,
+    mul_within,
+    power,
+    substitute,
+    truncate,
+)
 
 from conftest import make_ambient, random_unimodular, random_unit_series
 
@@ -166,6 +175,24 @@ def test_wrong_index_length_is_a_dimension_mismatch(call):
         call(x, check_parameters([mul(x, amb.one() + x)]))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("call", [
+    lambda box: jacobi_coefficient(X1, check_parameters([X1, X2]), (0, 0), box),
+    lambda box: represent(X1, check_parameters([X1, X2]), ((0, 0), (1, 1)),
+                          box),
+    lambda box: invert(AMB.one() + X1, box),
+    lambda box: power(AMB.one() + X1, -2, box),
+    lambda box: substitute([1, 1, 1], X1, box),
+    lambda box: mul_within(invert(AMB.one() + X1, BOX), X1, box),
+    lambda box: truncate(X1, box),
+], ids=["jacobi_coefficient", "represent", "invert", "power", "substitute",
+        "mul_within", "truncate"])
+def test_box_of_wrong_dimension_is_a_dimension_mismatch(call, k):
+    """Two coordinates in the ambient, k in the caller's box."""
+    with pytest.raises(DimensionMismatch):
+        call(Box((0,) * k, (3,) * k))
+
+
 def test_represent_requires_regular():
     p = check_parameters([mul(X1, X2), mul(X1, AMB.var(2, -1))])
     with pytest.raises(NotRegular):
@@ -288,6 +315,13 @@ def _slab_cases(field):
         psi = add(random_unit_series(rng, amb), mul(*p.members).scale(3))
         yield psi, p, [(0, 0), (1, 0), (2, 1)]
     yield from _h_systems(make_ambient(1, m=1, field=field))
+    # n = 3: the first partial product has two factors still to come
+    amb = make_ambient(3, field=field)
+    for _ in range(2):
+        p = _random_regular_system(rng, amb, 3)
+        psi = add(random_unit_series(rng, amb),
+                  mul(mul(*p.members[:2]), p.members[2]).scale(3))
+        yield psi, p, [(0, 0, 0), (1, 0, 1)]
 
 
 def _exactness_systems():
@@ -327,6 +361,47 @@ def test_jacobi_slab_agrees_with_full_chain(field):
             wide = jacobi_coefficient(psi, p, idx, Box(
                 tuple(2 * v for v in box.lo), tuple(2 * v for v in box.hi)))
             assert wide.box.contains_box(got.box) and got.eq_within(wide)
+
+
+def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
+    """Every truncated partial product of the Jacobi chain holds only terms
+    that the factors still to come can carry into the X^-1 slab, and that
+    cut leaves the certified boxes alone: the first working box serves
+    every call, as it did when each product was formed whole."""
+    steps, attempts = [], []
+    convolve, in_box = series._convolve, residues._jacobi_in_box
+
+    def recording(fld, a, b, region=None):
+        out = convolve(fld, a, b, region)
+        steps.append((b, region, out))
+        return out
+
+    def counting(*args):
+        attempts.append(1)
+        steps.clear()  # keep the chain's products alone
+        return in_box(*args)
+
+    monkeypatch.setattr(series, "_convolve", recording)
+    monkeypatch.setattr(residues, "_jacobi_in_box", counting)
+    calls = cut = 0
+    for field in (QQ, PrimeField(5)):
+        for psi, p, idxs in _slab_cases(field):
+            m, k = p.ambient.split.m, p.ambient.k
+            for idx in idxs:
+                jacobi_coefficient(psi, p, idx)
+                calls += 1
+                assert len(steps) == p.n
+                for j, (_, region, out) in enumerate(steps[:-1]):
+                    if region is None:
+                        continue  # exact: formed whole, as its keys certify
+                    cut += 1
+                    later = [b for b, _, _ in steps[j + 1:]]
+                    for c in range(m, k):
+                        lo = -1 - sum(max(g[c] for g in b) for b in later)
+                        hi = -1 - sum(min(g[c] for g in b) for b in later)
+                        assert all(lo <= g[c] <= hi for g in out), (idx, j)
+    assert len(attempts) == calls
+    assert cut == 40  # per field: 12 calls with n = 2, 4 with n = 3
 
 
 def test_fraction_json_round_trip():

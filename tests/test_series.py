@@ -34,6 +34,7 @@ from gpseries.series import (
     invert,
     log1p,
     mul,
+    mul_chain,
     mul_within,
     power,
     series_from_json,
@@ -392,6 +393,28 @@ def test_mul_within_reads_only_the_target():
     h = mul_within(g, g, Box((1, 1), (2, 2)))
     assert h.box == Box((1, 1), (2, 2)) and h.eq_within(mul(g, g))
     assert mul_within(f, amb.zero(), target).is_zero()
+
+
+def test_mul_chain_matches_products_in_turn():
+    """A chain gives the box, cone bounds and coefficients of the products
+    taken in turn, with exact partial products and an unbounded end."""
+    amb = make_ambient(2)
+    X, Y = amb.var(1), amb.var(2)
+    f = invert(amb.one() - X + Y.scale(2), Box((0, 0), (8, 8)))
+    g = amb.one() + X.scale(3) - mul(X, Y) + Y ** 2
+    h = invert(amb.one() + mul(X, Y), Box((0, 0), (6, 6)))
+    for factors, box in [((f, g, h), Box((2, 1), (3, 2))),
+                         ((g, g, f, h), Box((0, 0), (4, 4))),
+                         ((f, h, g, g), None), ((g, f, h), Box(
+                             (-math.inf, 3), (math.inf, 3)))]:
+        whole = factors[0]
+        for u in factors[1:-1]:
+            whole = mul(whole, u)
+        whole = mul_within(whole, factors[-1], box)
+        got = mul_chain(factors, box)
+        assert got.box == whole.box and got.cone.bounds == whole.cone.bounds
+        assert got.coeffs == whole.coeffs
+    assert mul_chain((f, amb.zero(), g), None).is_zero()
 
 
 def test_mul_within_outside_certified_box_raises():
