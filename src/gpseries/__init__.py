@@ -49,7 +49,6 @@ from .series import (
     invert,
     log1p,
     mul,
-    mul_chain,
     mul_within,
     power,
     series_from_json,

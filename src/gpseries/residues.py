@@ -29,12 +29,12 @@ from .series import (
     _check_box,
     _extents,
     _key_extents,
+    _mul_chain,
     add,
     factorize,
     h_box,
     h_coefficient_at,
     mul,
-    mul_chain,
     power,
     series_from_json,
     series_to_json,
@@ -158,7 +158,7 @@ def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
                    working_box: Box) -> Series:
     """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
     numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
-    only the X^-1 slab: one ``mul_chain`` forms each partial product only
+    only the X^-1 slab: one ``_mul_chain`` forms each partial product only
     where the factors still to come can carry it there.  ``num`` is
     psi J(Phi)."""
     factors = [num] + [power(f, -i - 1, working_box)
@@ -168,7 +168,7 @@ def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
     m = p.ambient.split.m
     slab = None if all(f.box is None for f in factors) else Box(
         (-math.inf,) * m + (-1,) * p.n, (math.inf,) * m + (-1,) * p.n)
-    return residue(GeneralizedFraction(NForm(mul_chain(factors, slab)), p))
+    return residue(GeneralizedFraction(NForm(_mul_chain(factors, slab)), p))
 
 
 def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:

@@ -450,7 +450,7 @@ def add(f: Series, g: Series) -> Series:
 
 
 def mul(f: Series, g: Series) -> Series:
-    return mul_chain((f, g), None)
+    return _mul_chain((f, g), None)
 
 
 def _product_box(f: Series, g: Series, c1, c2) -> Box:
@@ -470,12 +470,12 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
 
 
 def mul_within(f: Series, g: Series, box) -> Series:
-    """The product f*g, computed only inside ``box``: ``mul_chain`` of the
+    """The product f*g, computed only inside ``box``: ``_mul_chain`` of the
     two factors."""
-    return mul_chain((f, g), box)
+    return _mul_chain((f, g), box)
 
 
-def mul_chain(factors, box) -> Series:
+def _mul_chain(factors, box) -> Series:
     """The product of two or more factors, multiplied left to right and
     computed only inside ``box`` (None: the whole certified product box;
     everywhere if every factor is exact).
