@@ -24,6 +24,7 @@ from .errors import (
     PositiveCharacteristic,
     SingularOrderMatrix,
     UndeclaredVariable,
+    UnknownMode,
     ZeroSeries,
 )
 from .exponents import (

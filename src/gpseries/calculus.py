@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadVariableIndex, IncompatibleAmbient
+from .errors import BadVariableIndex, IncompatibleAmbient, UnknownMode
 from .exponents import exp_neg
 from .series import (
     Ambient,
@@ -74,7 +74,7 @@ class NForm:
 
     def __post_init__(self):
         if self.basis_mode not in (DX, DLOGX):
-            raise ValueError(f"unknown basis mode {self.basis_mode!r}")
+            raise UnknownMode(f"unknown basis mode {self.basis_mode!r}")
 
     @property
     def ambient(self) -> Ambient:
@@ -91,7 +91,7 @@ class NForm:
         if mode == DX:
             neg = tuple(-x for x in ones)
             return NForm(self.coeff.shift(neg), DX)
-        raise ValueError(f"unknown basis mode {mode!r}")
+        raise UnknownMode(f"unknown basis mode {mode!r}")
 
     def __add__(self, other: "NForm") -> "NForm":
         other = other.to_basis(self.basis_mode)

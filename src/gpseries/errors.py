@@ -78,3 +78,7 @@ class ParseError(GPSeriesError):
 
 class UndeclaredVariable(GPSeriesError):
     """Expression references a variable that was not declared."""
+
+
+class UnknownMode(GPSeriesError, ValueError):
+    """A Dyson method or n-form basis mode that does not exist was named."""

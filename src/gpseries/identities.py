@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import jacobian, partial
-from .errors import BadDimension
+from .errors import BadDimension, UnknownMode
 from .exponents import (
     Box,
     GroupSplit,
@@ -289,6 +289,6 @@ def dyson_verify(inst: DysonInstance, method: str = "direct"):
     elif method == "egorychev":
         lhs = _egorychev_lhs(inst)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMode(f"unknown method {method!r}")
     rhs = dyson_rhs(inst)
     return lhs, rhs, lhs == rhs

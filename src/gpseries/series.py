@@ -18,7 +18,8 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import reduce
+from itertools import accumulate, count, repeat
 
 from .errors import (
     BoxNotContained,
@@ -358,8 +359,11 @@ def _pair_loop(xs, ys, window, guard) -> dict:
     """Sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
     packed sum x + y lies in ``window``, keyed by that sum.  ``ys`` is
     sorted, and for each x only the run of ys that puts the top slot of
-    x + y inside the window is visited."""
-    low, high, first, stop = window
+    x + y inside the window is visited.  With no window every pair is
+    formed: the masked compares cost an exact Delta^12 (n = 4) 0.97 s
+    against 0.57 s without them."""
+    full = window is None
+    low, high, first, stop = window or (0, 0, -math.inf, math.inf)
     keys = [y for y, _ in ys]
     out = {}
     get = out.get
@@ -367,7 +371,7 @@ def _pair_loop(xs, ys, window, guard) -> dict:
         lx = x + low
         hx = high - x
         for y, c2 in ys[bisect_left(keys, first - x):bisect_left(keys, stop - x)]:
-            if (lx + y) & guard == guard and (hx - y) & guard == guard:
+            if full or (lx + y) & guard == guard and (hx - y) & guard == guard:
                 s = x + y
                 out[s] = get(s, 0) + c1 * c2
     return out
@@ -580,97 +584,105 @@ def _times(t: int, v):
     return t * v if t else 0
 
 
-def _sum_powers(cfn, f: Series, box: Box, i_cap=math.inf) -> Series:
-    """Exact-in-box evaluation of sum_i cfn(i) * f^i, i <= i_cap, for f
-    whose support the caller has proven positive.
+def _sum_powers(cs, f: Series, box, i_cap=math.inf, scale=1, shift=None) -> Series:
+    """The one powering kernel: scale * e^shift * sum_i c_i f^i, i <= i_cap,
+    with c_0, c_1, ... drawn from the iterator ``cs`` (0 once it runs out).
 
-    The number of powers that can reach the box is bounded by
-    ``power_exhaustion_bound`` over ``_bound_support_set(f)``, which also
-    generates the result's cone.  Powers are accumulated with pruning: after
-    i factors, only exponents that can still reach the box with the
-    remaining i_max - i factors are kept.  When f is truncated, ``_stored_cut``
-    cuts the box to where every factor that can reach it is stored; the
-    result is exact in the box it returns.  The base
-    is packed once, in one layout wide enough for every step, and the
-    running power stays packed through all i_max steps; over Q it stays an
-    int map over the base's denominator to the i-th power, and the sum is
-    divided once.  Calling ``_convolve`` at each step instead, which
-    packs and unpacks both operands every time, took a seed-1 pass of the
-    benchmark's jacobi-recovery from 0.28-0.33 to 0.35-0.38 s and of its
-    dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
+    With no box (exact mode) f is exact and i_cap finite; every term is
+    kept and the result is exact everywhere.  With a box, f's support must
+    be proven positive: ``power_exhaustion_bound`` over
+    ``_bound_support_set(f)`` bounds the powers that reach the box and
+    generates the result's cone, after i factors only exponents that the
+    other i_max - i can carry into the box are kept, and for a truncated f
+    ``_stored_cut`` cuts the box to where every factor is stored.  The base
+    is packed once for every step and the running power stays packed, over
+    Q as ints over the base's denominator to the i-th power; ``scale`` goes
+    into the c_i and ``shift`` into the unpacking offset, so the sum is
+    divided and unpacked once, in place.  Calling ``_convolve`` at each step
+    instead took a seed-1 jacobi-recovery pass from 0.28-0.33 to 0.35-0.38 s
+    and dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
     """
-    ambient = f.ambient
     fld = f.field
     order = f.order
     k = order.k
-    elems = _bound_support_set(f)
-    i_max = min(i_cap, power_exhaustion_bound(order, elems, box))
-    # every pair sums at most i_max terms of f, and the origin is 0
+    zero = zero_exp(k)
+    shift = zero if shift is None else shift
     ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
     bounds = ext if f.box is None else f.cone.bounds
+    i_max, blo, bhi = i_cap, [-math.inf] * k, [math.inf] * k
+    if box is not None:
+        elems = _bound_support_set(f)
+        i_max = min(i_cap, power_exhaustion_bound(order, elems, box))
+        blo, bhi = box.lo, box.hi
+    # every pair sums at most i_max terms of f, and the origin is 0
     if f.box is not None and i_max >= 1:
         # the other factors of a sum in the box add [down, up] to it
         down = [min(0, _times(i_max - 1, mu)) for mu, _ in bounds]
         up = [max(0, _times(i_max - 1, nu)) for _, nu in bounds]
         if any(max(mu, a - u) > min(nu, b - d) for (mu, nu), a, b, d, u
-               in zip(bounds, box.lo, box.hi, down, up)):
+               in zip(bounds, blo, bhi, down, up)):
             i_max = 0  # no single factor fits: only the constant term
         else:
-            lo, hi = _stored_cut(f, down, up, box.lo, box.hi)
-            if any(map(operator.gt, lo, hi)):
+            blo, bhi = _stored_cut(f, down, up, blo, bhi)
+            if any(map(operator.gt, blo, bhi)):
                 raise BoxUnderflow("no point of the target box has its factors stored")
-            box = Box(tuple(lo), tuple(hi))
-    zero = zero_exp(k)
+            box = Box(tuple(blo), tuple(bhi))
     pk = _Packing([min(0, i_max * mu) for mu, _ in ext],
-                  [max(0, i_max * nu) for _, nu in ext], (box.lo, box.hi))
+                  [max(0, i_max * nu) for _, nu in ext], (blo, bhi))
     guard = pk.guard
     base, fden = fld.integral(f.coeffs)
     step = sorted((pk.step(g), c) for g, c in base.items())
-    inbox = pk.window(box.lo, box.hi)
-    c0 = fld.coerce(cfn(0))
+    inbox = pk.window(blo, bhi)
+    c0 = fld.coerce(scale * next(cs, 0))
     origin = pk.pack(zero)
     den = c0.denominator  # acc holds ints over den
-    acc = {origin: c0.numerator} if box.contains(zero) else {}
+    acc = {origin: c0.numerator} if box is None or box.contains(zero) else {}
     get = acc.get
     pw = {origin: 1}  # ints over pden
     pden = 1
+    window = None  # exact mode: every pair
     for i in range(1, i_max + 1):
         # where the i-th power must lie to still reach the box
         t = i_max - i
-        window = pk.window(
-            [a - max(0, _times(t, nu)) for a, (_, nu) in zip(box.lo, bounds)],
-            [b - min(0, _times(t, mu)) for b, (mu, _) in zip(box.hi, bounds)])
-        if window is None:
+        if box is not None and not (window := pk.window(
+                [a - max(0, _times(t, nu)) for a, (_, nu) in zip(blo, bounds)],
+                [b - min(0, _times(t, mu)) for b, (mu, _) in zip(bhi, bounds)])):
             break
         pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
         if not pw:
             break
         pden *= fden
-        ci = fld.coerce(cfn(i))
+        ci = fld.coerce(scale * next(cs, 0))
         if ci == 0 or inbox is None:
             continue
         d = ci.denominator * pden
         if den % d:
-            scale = d // math.gcd(den, d)
-            acc = {s: v * scale for s, v in acc.items()}
+            m = d // math.gcd(den, d)
+            acc = {s: v * m for s, v in acc.items()}
             get = acc.get
-            den *= scale
+            den *= m
         m = ci.numerator * (den // d)
         low, high = inbox[:2]
         for s, v in pw.items():
             if (s + low) & guard == guard and (high - s) & guard == guard:
                 acc[s] = get(s, 0) + m * v
+    pk.lo = exp_add(pk.lo, shift)
     unpack = pk.unpack
     coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
+    if box is None:
+        return Series(f.ambient, coeffs, None, None)
     # power_exhaustion_bound has classified every element as positive
-    return Series(ambient, coeffs, box, Cone(zero, tuple(elems)))
+    return Series(f.ambient, coeffs, box.shift(shift), Cone(shift, tuple(elems)))
 
 
 def substitute(c, f: Series, target_box=None) -> Series:
     """sum_i c_i f^i for a positive series f.
 
     ``c`` is a finite sequence or a callable i -> scalar.  A target box is
-    required unless ``c`` is finite (the polynomial case).
+    required unless ``c`` is finite (the polynomial case).  It is one
+    ``_sum_powers`` call, in exact mode for a polynomial in an exact f, save
+    for a polynomial in a truncated f with no target box: that one takes
+    repeated ``mul``, each product certified by ``_product_box``.
     """
     _check_box(f.ambient, target_box)
     try:
@@ -687,17 +699,11 @@ def substitute(c, f: Series, target_box=None) -> Series:
             if f.is_zero():
                 return f.ambient.constant(c(0))
             raise BoxUnderflow("target box required for an infinite coefficient list")
-        out = f.ambient.zero()
-        pw = f.ambient.one()
-        for i, ci in enumerate(c):
-            if i > 0:
-                pw = mul(pw, f)
-            out = add(out, pw.scale(ci))
-        return out
-    if callable(c):
-        return _sum_powers(c, f, target_box)
-    return _sum_powers(lambda i: c[i] if i < len(c) else 0, f, target_box,
-                       len(c) - 1)
+        if f.box is not None:
+            pws = accumulate(repeat(f, len(c) - 1), mul, initial=f.ambient.one())
+            return reduce(add, map(Series.scale, pws, c), f.ambient.zero())
+    cs = map(c, count()) if callable(c) else iter(c)
+    return _sum_powers(cs, f, target_box, math.inf if callable(c) else len(c) - 1)
 
 
 def invert(f: Series, target_box=None) -> Series:
@@ -706,28 +712,32 @@ def invert(f: Series, target_box=None) -> Series:
 
 
 def power(f: Series, k: int, target_box=None) -> Series:
-    """Integer power.  A nonnegative power is repeated multiplication.  A
-    negative power is one generalized-binomial substitution on the
-    factorization f = a e^g (1 + tail), whose tail is positive with the cone
-    factorize certified: f^k = a^k e^(kg) sum_i binom(k, i) tail^i, exact in
-    the target box cut by ``_sum_powers`` where the tail is not stored."""
+    """Integer power: one generalized-binomial sum on the factorization
+    f = a e^g (1 + tail), tail positive with the cone factorize certified,
+    f^k = a^k e^(kg) sum_i binom(k, i) tail^i by ``_sum_powers``.  For k >= 0
+    and an exact f the sum stops at i = k in exact mode, so the result is
+    exact whatever target box is passed; for k < 0 it is exact in the target
+    box cut where the tail is not stored.  A monomial gives one monomial.
+
+    Repeated ``mul``, each product certified by ``_product_box``, remains
+    for a nonnegative power of a truncated f, and of an exact f with
+    k * #f <= 20 (0^k too): there the kernel's set-up (about 50 us) lost to
+    it up to (1+X)^7, a 3-term f^8 and a 6-term f^4 in two variables."""
     _check_box(f.ambient, target_box)
-    if k >= 0:
-        out = f.ambient.one()
-        for _ in range(k):
-            out = mul(out, f)
-        return out
+    n = len(f.coeffs)
+    if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):
+        return reduce(mul, repeat(f, k), f.ambient.one())
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)
     if tail.is_zero():
         return f.ambient.monomial(ak, kg)
-    if target_box is None:
+    if k < 0 and target_box is None:
         raise BoxUnderflow("inverting a non-monomial requires a target box")
-    # binom(k, i) = (-1)^i binom(i - k - 1, i) for k < 0
-    terms = _sum_powers(lambda i: (-1) ** i * math.comb(i - k - 1, i), tail,
-                        target_box.shift(exp_neg(kg)))
-    return terms.scale(ak).shift(kg)
+    # binom(k, i) = binom(k, i - 1) (k - i + 1) / i, an exact division
+    binoms = accumulate(count(1), lambda b, i: b * (k - i + 1) // i, initial=1)
+    box = None if k >= 0 else target_box.shift(exp_neg(kg))
+    return _sum_powers(binoms, tail, box, k if k >= 0 else math.inf, ak, kg)
 
 
 def log1p(f: Series, target_box=None) -> Series:

@@ -19,7 +19,8 @@ from gpseries.calculus import (
     partial,
     wedge,
 )
-from gpseries.errors import BadVariableIndex, ZeroSeries
+from gpseries.errors import BadVariableIndex, GPSeriesError, ZeroSeries
+from gpseries.identities import DysonInstance, dyson_verify
 from gpseries.series import add, invert, mul, power
 
 from conftest import make_ambient, random_polynomial, random_unimodular, \
@@ -250,6 +251,19 @@ def test_chain_rule_delta_identity():
                         dxk_dyi, AMB.monomial(t[i - 1][j - 1], g)))
                 expect = AMB.one() if k == j else AMB.zero()
                 assert total.eq_within(expect)
+
+
+def test_unknown_modes_are_typed_errors():
+    """An unknown Dyson method or basis mode, also one read from JSON, is a
+    GPSeriesError (exit 1 in the CLI) rather than a bare ValueError."""
+    with pytest.raises(GPSeriesError):
+        dyson_verify(DysonInstance((1, 1)), "guess")
+    with pytest.raises(GPSeriesError):
+        NForm(X1, "dY")
+    with pytest.raises(GPSeriesError):
+        NForm(X1).to_basis("dY")
+    with pytest.raises(GPSeriesError):
+        nform_from_json({**nform_to_json(NForm(X1)), "basis": "dY"})
 
 
 def test_nform_json_round_trip():

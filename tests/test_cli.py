@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import shlex
 from pathlib import Path
@@ -282,6 +283,24 @@ def test_large_prime_field_answers(capsys):
 def test_undeclared_variable_exits_one(capsys):
     assert run(["eval", "Z"]) == 1
     capsys.readouterr()
+
+
+# -- powers --------------------------------------------------------------------
+
+def test_monomial_power_is_one_monomial(capsys):
+    assert run(["eval", "X^99999999999999*X"]) == 0
+    assert capsys.readouterr().out == "X^100000000000000\n"
+
+
+def test_trinomial_power_is_exact(capsys):
+    """(1+X+Y)^300 is exact, with the multinomial coefficients."""
+    assert run(["eval", "(1+X+Y)^300", "--vars", "X,Y", "--json"]) == 0
+    f = series_from_json(json.loads(capsys.readouterr().out))
+    assert f.box is None and len(f.coeffs) == 301 * 302 // 2
+    rng = random.Random(300)
+    for i, j in [(0, 0), (300, 0), (0, 300), (100, 100)] + [
+            (i, rng.randint(0, 300 - i)) for i in rng.sample(range(301), 20)]:
+        assert f.coefficient_at((i, j)) == math.comb(300, i) * math.comb(300 - i, j)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from gpseries import (
 from gpseries.series import (
     _convolve,
     _mul_chain,
+    _sum_powers,
     add,
     factorize,
     h_coefficient_at,
@@ -364,6 +366,68 @@ def test_negative_power_of_monomial_is_exact():
     f = AMB1.monomial(2, (1, -3))
     assert power(f, -3).coeffs == {(-3, 9): Fraction(1, 8)}
     assert power(f, -3).box is None
+
+
+@st.composite
+def _exact_power_inputs(draw):
+    """An exact f over 1-3 coordinates, with negative exponents, over Q with
+    mixed denominators or over F_5, and a power k in 0..6."""
+    n = draw(st.integers(1, 3))
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    amb = make_ambient(n, field=fld)
+    scalar = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * n), scalar,
+                                 min_size=1, max_size=6))
+    lo = draw(st.tuples(*[st.integers(-4, 1)] * n))
+    return amb, amb.series(terms), draw(st.integers(0, 6)), Box(lo, lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_power_inputs())
+def test_exact_power_is_repeated_product(inputs):
+    """power(f, k) of an exact f is the k-fold product, exact everywhere
+    whatever target box is passed, and so is the kernel's binomial sum
+    a^k e^(kg) sum_i binom(k, i) tail^i that it takes above a size."""
+    amb, f, k, box = inputs
+    expected = reduce(mul, [f] * k, amb.one())
+    for p in (power(f, k), power(f, k, box), f ** k):
+        assert p.box is None and p.coeffs == expected.coeffs
+        _assert_canonical(amb.field, p.coeffs)
+    if f.is_zero():  # every coefficient of f vanished in F_5
+        return
+    a, g, tail = factorize(f)
+    p = _sum_powers(iter([math.comb(k, i) for i in range(k + 1)]), tail, None, k,
+                    amb.field.power(a, k), tuple(k * v for v in g))
+    assert p.box is None and p.coeffs == expected.coeffs
+    _assert_canonical(amb.field, p.coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "f10007"])
+def test_binomial_power_matches_comb(field):
+    amb = make_ambient(1, field=field)
+    p = power(amb.one() + amb.var(1), 500)
+    assert p.box is None
+    assert p.coeffs == {(i,): field.coerce(math.comb(500, i)) for i in range(501)
+                        if field.coerce(math.comb(500, i))}
+
+
+def test_truncated_nonnegative_power_keeps_product_box():
+    """A nonnegative power of a truncated f is the k-fold product, each step
+    certified by _product_box: its box and cone are the ones that chain of
+    products certifies, and a target box does not change them."""
+    amb = make_ambient(2)
+    X, Y = amb.var(1), amb.var(2)
+    t = invert(amb.one() - X + Y.scale(2), Box((0, 0), (10, 10)))
+    u = add(mul(X.scale(3), invert(amb.one() + Y, Box((-2, -2), (6, 6)))), amb.one())
+    boxes = {(t, 1): Box((0, 0), (10, 10)), (t, 3): Box((0, 0), (10, 10)),
+             (u, 1): Box((-1, -2), (7, 6)), (u, 2): Box((-2, -4), (14, 6)),
+             (u, 3): Box((-3, -6), (21, 6))}
+    for (f, k), box in boxes.items():
+        expected = reduce(mul, [f] * k, amb.one())
+        for p in (power(f, k), power(f, k, Box((0, 0), (3, 3)))):
+            assert p.box == box == expected.box and p.cone == expected.cone
+            assert p.coeffs == expected.coeffs
+    assert power(t, 0).coeffs == {(0, 0): 1} and power(t, 0).box is None
 
 
 def test_pow_operator_is_power():
