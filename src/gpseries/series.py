@@ -584,7 +584,7 @@ def _times(t: int, v):
     return t * v if t else 0
 
 
-def _sum_powers(cs, f: Series, box, i_cap=math.inf, scale=1, shift=None) -> Series:
+def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     """The one powering kernel: scale * e^shift * sum_i c_i f^i, i <= i_cap,
     with c_0, c_1, ... drawn from the iterator ``cs`` (0 once it runs out).
 
@@ -721,12 +721,12 @@ def power(f: Series, k: int, target_box=None) -> Series:
 
     Repeated ``mul``, each product certified by ``_product_box``, remains
     for a nonnegative power of a truncated f, and of an exact f with
-    k * #f <= 20 (0^k too): there the kernel's set-up (about 50 us) lost to
-    it up to (1+X)^7, a 3-term f^8 and a 6-term f^4 in two variables."""
+    k * #f <= 20, where the kernel's set-up (about 50 us) lost to it up to
+    (1+X)^7, a 3-term f^8 and a 6-term f^4 in two variables; 0^k is one mul."""
     _check_box(f.ambient, target_box)
     n = len(f.coeffs)
     if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):
-        return reduce(mul, repeat(f, k), f.ambient.one())
+        return reduce(mul, repeat(f, min(k, 1) if f.is_zero() else k), f.ambient.one())
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)

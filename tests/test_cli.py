@@ -292,6 +292,12 @@ def test_monomial_power_is_one_monomial(capsys):
     assert capsys.readouterr().out == "X^100000000000000\n"
 
 
+def test_zero_power_takes_one_product(capsys):
+    assert run(["eval", "0^99999999"]) == 0
+    assert run(["eval", "0^0"]) == 0
+    assert capsys.readouterr().out == "0\n1\n"
+
+
 def test_trinomial_power_is_exact(capsys):
     """(1+X+Y)^300 is exact, with the multinomial coefficients."""
     assert run(["eval", "(1+X+Y)^300", "--vars", "X,Y", "--json"]) == 0

@@ -428,6 +428,8 @@ def test_truncated_nonnegative_power_keeps_product_box():
             assert p.box == box == expected.box and p.cone == expected.cone
             assert p.coeffs == expected.coeffs
     assert power(t, 0).coeffs == {(0, 0): 1} and power(t, 0).box is None
+    zero = truncate(amb.zero(), Box((0, 0), (3, 3)))  # certifiably zero
+    assert power(zero, 10 ** 12).is_zero() and power(amb.zero(), 10 ** 12).is_zero()
 
 
 def test_pow_operator_is_power():
