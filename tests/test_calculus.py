@@ -255,7 +255,7 @@ def test_chain_rule_delta_identity():
 
 def test_unknown_modes_are_typed_errors():
     """An unknown Dyson method or basis mode, also one read from JSON, is a
-    GPSeriesError (exit 1 in the CLI) rather than a bare ValueError."""
+    GPSeriesError rather than a bare ValueError."""
     with pytest.raises(GPSeriesError):
         dyson_verify(DysonInstance((1, 1)), "guess")
     with pytest.raises(GPSeriesError):
