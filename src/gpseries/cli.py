@@ -11,6 +11,10 @@ Grammar:
     power := atom ('^' '-'? int)?
     atom  := rational | int | ident | '(' expr ')'
 
+Parentheses and unary minus nest at most 64 levels deep, counted
+together; deeper input is a parse error.  Chains such as X+X+...+X may
+be of any length.
+
 A rational literal "p/q" is recognized only when both sides are digit
 strings with no whitespace around the slash; any other '/' is series
 division, which (like negative powers of non-monomials) requires --box.
@@ -94,10 +98,16 @@ def tokenize(text: str):
 # AST nodes: ("num", Fraction) ("var", name) ("neg", e)
 #            ("add"|"sub"|"mul"|"div", l, r) ("pow", e, int)
 
+# Each level of parentheses takes eight parser frames, so this bound keeps
+# the recursive descent well inside Python's default recursion limit.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -116,6 +126,19 @@ class _Parser:
         what = "end of input" if kind == "eof" else repr(val)
         raise ParseError(f"unexpected {what}", line, col, expected)
 
+    def nested(self, parse):
+        """parse() one level deeper in parentheses or unary minus, whose
+        token was just consumed; past MAX_NESTING levels a parse error."""
+        if self.depth == MAX_NESTING:
+            kind, val, line, col = self.tokens[self.pos - 1]
+            raise ParseError(f"{val!r} nests deeper than {MAX_NESTING} levels",
+                             line, col, (f"at most {MAX_NESTING} levels of "
+                                         "parentheses and unary minus",))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def binary(self, operand, ops):
         """operand (op operand)*, left-associative, for op in ``ops``."""
         node = operand()
@@ -131,7 +154,7 @@ class _Parser:
 
     def unary(self):
         if self.accept("-"):
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.unary))
         return self.power()
 
     def power(self):
@@ -147,7 +170,7 @@ class _Parser:
 
     def atom(self):
         if self.accept("("):
-            node = self.expr()
+            node = self.nested(self.expr)
             if not self.accept(")"):
                 self.fail((")",))
             return node
@@ -240,29 +263,38 @@ def config_from_args(args) -> SessionConfig:
 
 
 def evaluate(ast, cfg: SessionConfig) -> Series:
+    """The series of an AST, left operand first.  A left-associative chain
+    such as X+X+...+X is walked down its left spine, not recursed into, so
+    only nesting, which the parser bounds, costs stack."""
+    spine = []
+    while ast[0] in ("add", "sub", "mul", "div"):
+        spine.append(ast)
+        ast = ast[1]
     kind = ast[0]
     if kind == "num":
-        return cfg.ambient.constant(ast[1])
-    if kind == "var":
+        f = cfg.ambient.constant(ast[1])
+    elif kind == "var":
         name = ast[1]
         if name not in cfg.var_names:
             raise UndeclaredVariable(f"variable {name!r} not declared")
-        return cfg.ambient.var(cfg.var_names.index(name) + 1)
-    if kind == "neg":
-        return evaluate(ast[1], cfg).scale(-1)
-    if kind == "add":
-        return evaluate(ast[1], cfg) + evaluate(ast[2], cfg)
-    if kind == "sub":
-        return evaluate(ast[1], cfg) - evaluate(ast[2], cfg)
-    if kind == "mul":
-        return mul(evaluate(ast[1], cfg), evaluate(ast[2], cfg))
-    if kind == "div":
-        num = evaluate(ast[1], cfg)
-        den = evaluate(ast[2], cfg)
-        return mul(num, invert(den, cfg.box))
-    if kind == "pow":
-        return power(evaluate(ast[1], cfg), ast[2], cfg.box)
-    raise AssertionError(f"unknown node {kind}")
+        f = cfg.ambient.var(cfg.var_names.index(name) + 1)
+    elif kind == "neg":
+        f = evaluate(ast[1], cfg).scale(-1)
+    elif kind == "pow":
+        f = power(evaluate(ast[1], cfg), ast[2], cfg.box)
+    else:
+        raise AssertionError(f"unknown node {kind}")
+    for kind, _, right in reversed(spine):
+        g = evaluate(right, cfg)
+        if kind == "add":
+            f = f + g
+        elif kind == "sub":
+            f = f - g
+        elif kind == "mul":
+            f = mul(f, g)
+        else:
+            f = mul(f, invert(g, cfg.box))
+    return f
 
 
 # -- output formatting ----------------------------------------------------

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from gpseries.cli import (
+    GRAMMAR_HELP,
+    MAX_NESTING,
     FlagError,
     SessionConfig,
     config_from_args,
@@ -307,6 +309,42 @@ def test_trinomial_power_is_exact(capsys):
     for i, j in [(0, 0), (300, 0), (0, 300), (100, 100)] + [
             (i, rng.randint(0, 300 - i)) for i in rng.sample(range(301), 20)]:
         assert f.coefficient_at((i, j)) == math.comb(300, i) * math.comb(300 - i, j)
+
+
+# -- long and deeply nested input -----------------------------------------------
+
+def test_long_sum_answers(capsys):
+    # a left-associative chain is walked, not recursed into
+    assert run(["eval", "+".join(["X"] * 1500)]) == 0
+    assert capsys.readouterr().out == "1500*X\n"
+
+
+def test_long_product_answers(capsys):
+    assert run(["eval", "*".join(["X"] * 1200)]) == 0
+    assert capsys.readouterr().out == "X^1200\n"
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "X" + ")" * 2000,
+    "(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1),
+    "0+" + "-" * (MAX_NESTING + 1) + "X",
+    "-(" * (MAX_NESTING // 2) + "-X" + ")" * (MAX_NESTING // 2),
+], ids=["parens-2000", "parens", "minus", "both"])
+def test_deep_nesting_exits_two(capsys, text):
+    assert run(["eval", "--", text]) == 2
+    err = capsys.readouterr().err
+    assert f"nests deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err and "Grammar" in err
+
+
+def test_nesting_at_the_bound_answers(capsys):
+    n = MAX_NESTING
+    for text in ["(" * n + "X" + ")" * n, "-" * n + "X",
+                 "-(" * (n // 2) + "X" + ")" * (n // 2),
+                 "X+(" * n + "X" + ")" * n]:
+        assert run(["eval", "--", text]) == 0
+    assert capsys.readouterr().out == f"X\nX\nX\n{n + 1}*X\n"
+    assert f"nest at most {MAX_NESTING} levels" in GRAMMAR_HELP
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ from gpseries.identities import (
     wilson_wedge_check,
 )
 from gpseries.residues import is_regular
+from gpseries.series import _extents, add, mul
 
 # frozen oracle: constant terms of prod_{i != j} (1 - X_i/X_j)^{a_i},
 # brute-forced by expanding the rational function symbolically
@@ -128,14 +129,30 @@ def test_methods_agree():
 
 
 def test_egorychev_matches_multinomial():
-    # the inversion box is sized exactly to the points the product reads
-    for a in itertools.product(range(3), repeat=3):
-        if sum(a):
-            expect = math.factorial(sum(a))
-            for x in a:
-                expect //= math.factorial(x)
-            assert dyson_verify(DysonInstance(a), "egorychev") == (
-                expect, expect, True)
+    # every a in {0..4}^3, the benchmark's stratum, and two instances at
+    # n = 4, where the inversion of the denominator takes most of the time
+    for a in [*itertools.product(range(5), repeat=3), (1, 1, 1, 1), (2, 1, 1, 1)]:
+        expect = math.factorial(sum(a))
+        for x in a:
+            expect //= math.factorial(x)
+        assert dyson_verify(DysonInstance(a), "egorychev") == (
+            expect, expect, True)
+
+
+def test_numerator_extents_are_total_times_delta_extents():
+    """The Egorychev inversion box rests on this: in each coordinate the
+    extreme face of s^k, s = sum Upsilon_i, is the k-th power of that face
+    of s, which is nonzero, so s^k spans exactly k times the extents of s."""
+    for n in (3, 4):
+        ambient = identities._egorychev_ambient(n)
+        s = ambient.zero()
+        for i in range(1, n + 1):
+            s = add(s, identities._upsilon(ambient, i))
+        ext = _extents(s)
+        p = ambient.one()
+        for total in range(1, 7):
+            p = mul(p, s)
+            assert _extents(p) == [(total * lo, total * hi) for lo, hi in ext]
 
 
 def test_wilson_one_binomial_substitution():

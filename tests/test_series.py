@@ -483,6 +483,50 @@ def test_mul_chain_matches_products_in_turn():
     assert _mul_chain((f, amb.zero(), g), None).is_zero()
 
 
+@st.composite
+def _repeated_factor_inputs(draw):
+    """Over Q or F_5, in 1-2 coordinates: an exact f, an exact h whose
+    inverse in a box is the truncated g, a target box and a repeat count t
+    in 1..4."""
+    k = draw(st.integers(1, 2))
+    amb = make_ambient(k, field=draw(st.sampled_from([QQ, PrimeField(5)])))
+    # numerators and denominators prime to 5, so no coefficient vanishes
+    scalar = st.builds(Fraction, st.sampled_from([1, -1, 2, -2, 3, -4]),
+                       st.sampled_from([1, 2, 3]))
+    exps = st.tuples(*[st.integers(-2, 2)] * k)
+    f = amb.series(draw(st.dictionaries(exps, scalar, min_size=1, max_size=4)))
+    # h = c (1 + lex-positive tail), so g = h^-1 fills inv_box above 0
+    tail = draw(st.dictionaries(exps.filter(
+        lambda g: any(g) and next(v for v in g if v) > 0), scalar, max_size=3))
+    h = amb.series({**tail, (0,) * k: draw(scalar)})
+    lo = draw(st.tuples(*[st.integers(-4, 0)] * k))
+    inv_box = Box(lo, tuple(v + draw(st.integers(2, 6)) for v in lo))
+    # near where g * f^t lives: inv_box plus t times f's extents
+    lo = tuple(v + draw(st.integers(-3, 5)) for v in inv_box.lo)
+    box = Box(lo, tuple(v + draw(st.integers(0, 4)) for v in lo))
+    return amb, f, h, inv_box, box, draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_repeated_factor_inputs())
+def test_mul_chain_with_a_repeated_factor(inputs):
+    """A chain that receives the same exact f t times agrees with the
+    product by f^t: same certified box, same coefficients in it, or the
+    same refusal."""
+    amb, f, h, inv_box, box, t = inputs
+    g = invert(h, inv_box)
+    try:
+        want = mul_within(g, f ** t, box)
+    except BoxUnderflow:
+        with pytest.raises(BoxUnderflow):
+            _mul_chain((g,) + (f,) * t, box)
+        return
+    got = _mul_chain((g,) + (f,) * t, box)
+    assert got.box == want.box
+    assert got.coeffs == want.coeffs
+    _assert_canonical(amb.field, got.coeffs)
+
+
 def test_mul_within_outside_certified_box_raises():
     amb = make_ambient(2)
     f = invert(amb.one() - amb.var(1), Box((0, 0), (8, 8)))
