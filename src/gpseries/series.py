@@ -7,8 +7,8 @@ the true coefficients of the represented element of kappa[[e^G]].  A box of
 Truncated series additionally carry a cone certificate bounding the true
 support (``exponents.Cone``: offset, generators and per-coordinate bounds),
 which is what makes inversion and substitution terminate.  An unbounded end,
-of a cone's bounds or of a ``_convolve`` region, is -inf or inf throughout;
-only JSON writes it as null.
+of a cone's bounds or of a box, is -inf or inf throughout; only JSON
+writes it as null.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, groupby, repeat
 
 from .errors import (
     BoxNotContained,
@@ -296,7 +296,8 @@ class _Packing:
     (hi[c] - lo[c]).bit_length() bits plus one guard bit above it.
 
     ``pack(g)`` stores g - lo and ``step(h)`` stores h itself, so for any g
-    and h whose sum lies in the box, ``pack(g) + step(h) == pack(g + h)``.
+    and h whose sum lies in the box (as every partial sum of a product does
+    in the box of ``_prefix_hull``), ``pack(g) + step(h) == pack(g + h)``.
     Then no slot carries into the next, ``window`` turns a region into two
     constants against which one masked compare each tests every coordinate
     of such a sum at once, and packed order sorts by the top slot first.
@@ -355,6 +356,18 @@ class _Packing:
         return low, high, first, stop
 
 
+def _prefix_hull(k, runs):
+    """The box (lo, hi) spanned by 0 and the prefix sums of the key extents of
+    factors given in runs (extents, t) of t equal ones: a run's ends are extreme."""
+    lo, hi, at_lo, at_hi = [0] * k, [0] * k, [0] * k, [0] * k
+    for ext, t in runs:
+        for c, (mu, nu) in enumerate(ext):
+            at_lo[c] += t * mu
+            at_hi[c] += t * nu
+        lo, hi = list(map(min, lo, at_lo)), list(map(max, hi, at_hi))
+    return lo, hi
+
+
 def _pair_loop(xs, ys, window, guard) -> dict:
     """Sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
     packed sum x + y lies in ``window``, keyed by that sum.  ``ys`` is
@@ -377,47 +390,21 @@ def _pair_loop(xs, ys, window, guard) -> dict:
     return out
 
 
-def _convolve(fld, a: dict, b: dict, region=None) -> dict:
-    """Coefficient convolution of two coefficient maps, restricted to the
-    result exponents inside ``region`` = (lo, hi), whose ends may be
-    infinite; the field reduces each result term once.
-
-    With a region, exponents are packed for the pair loop and unpacked for
-    the result only, the packed window alone decides which pairs are
-    formed, and coefficients become ints by the field's common
-    denominator.  Without one (the exact product of two exact series) the
-    pairs are summed as tuples: such operands are small, and replaying the
-    11,655 such calls of a seed-1 cli-session pass through the packed loop
-    took 0.78 s against 0.30 s (process time).
-    """
-    if not a or not b:
-        return {}
+def _convolve(fld, a: dict, b: dict) -> dict:
+    """The exact product of two exact coefficient maps, pairs summed as
+    tuples, for an exact prefix of ``_mul_chain``: such operands are small,
+    and replaying the 11,655 such calls of a seed-1 cli-session pass through
+    the packed loop took 0.78 s against 0.30 s (process time)."""
     if len(a) > len(b):
         a, b = b, a
-    if region is None:
-        out = {}
-        get = out.get
-        plus = operator.add
-        for g1, c1 in a.items():
-            for g2, c2 in b.items():
-                g = tuple(map(plus, g1, g2))
-                out[g] = get(g, 0) + c1 * c2
-        return fld.reduce(out)
-    lo, hi = region
-    ea = _key_extents(a)
-    eb = _key_extents(b)
-    pk = _Packing([x + y for (x, _), (y, _) in zip(ea, eb)],
-                  [x + y for (_, x), (_, y) in zip(ea, eb)], (lo, hi))
-    window = pk.window(lo, hi)
-    if window is None:
-        return {}
-    a, da = fld.integral(a)
-    b, db = fld.integral(b)
-    out = _pair_loop([(pk.pack(g), c) for g, c in a.items()],
-                     sorted((pk.step(g), c) for g, c in b.items()),
-                     window, pk.guard)
-    unpack = pk.unpack
-    return {unpack(s): c for s, c in fld.reduce(out, da * db).items()}
+    out = {}
+    get = out.get
+    plus = operator.add
+    for g1, c1 in a.items():
+        for g2, c2 in b.items():
+            g = tuple(map(plus, g1, g2))
+            out[g] = get(g, 0) + c1 * c2
+    return fld.reduce(out)
 
 
 def add(f: Series, g: Series) -> Series:
@@ -462,8 +449,10 @@ def _product_box(f: Series, g: Series, c1, c2) -> Box:
     certified: every pair that can land there is stored in the operands."""
     lo, hi = _stored_cut(g, *zip(*c1.bounds), *_stored_cut(f, *zip(*c2.bounds)))
     # an end the cuts left open is certifiable at any bound; fall back to
-    # the sum of the operands' extents
-    for c, ((a1, b1), (a2, b2)) in enumerate(zip(_extents(f), _extents(g))):
+    # the sum of the operands' extents (an exact one's cone bounds)
+    for c, ((a1, b1), (a2, b2)) in enumerate(zip(*[
+            cone.bounds if h.box is None else zip(h.box.lo, h.box.hi)
+            for h, cone in ((f, c1), (g, c2))])):
         if lo[c] == -math.inf:
             lo[c] = min(a1 + a2, hi[c])
         if hi[c] == math.inf:
@@ -484,13 +473,15 @@ def _mul_chain(factors, box) -> Series:
     computed only inside ``box`` (None: the whole certified product box;
     everywhere if every factor is exact).
 
-    Each step certifies its box by ``_product_box`` as ``mul`` would, and
-    the last step's box is cut to ``box``; a ``box`` that misses the
-    certified box raises BoxUnderflow.  A truncated partial product keeps
-    its certified box, which the next step reads, but forms only the terms
-    that the stored terms of the factors still to come can carry into
-    ``box``: those in ``box`` minus the sum of their key extents.  An exact
-    partial product is formed whole, since its keys are its certificate.
+    An exact prefix, short of the last step if there is a box, is formed
+    whole by ``_convolve``.  The later steps share one ``_Packing``: each
+    distinct factor is packed and given its cone once, and the partial
+    product stays a packed int map over one denominator.  Each step
+    certifies its box by ``_product_box`` from boxes and cones alone, as
+    ``mul`` would, and the last step's box is cut to ``box``; a ``box``
+    that misses the certified box raises BoxUnderflow.  A step forms only
+    the terms that the stored terms of the factors still to come can carry
+    into ``box``: those in ``box`` minus the sum of their key extents.
     """
     f, *rest = factors
     ambient = f.ambient
@@ -500,31 +491,40 @@ def _mul_chain(factors, box) -> Series:
     if any(map(Series.is_zero, factors)):
         return ambient.zero()
     fld = ambient.field
-    for j, g in enumerate(rest, 2):  # factors[j:] are still to come
-        target = box if j == len(factors) else None
-        if target is None and f.box is None and g.box is None:
-            f = Series(ambient, _convolve(fld, f.coeffs, g.coeffs), None, None)
-            continue
-        c1 = _effective_cone(f)
-        c2 = _effective_cone(g)
+    while len(rest) > (box is not None) and f.box is None and rest[0].box is None:
+        f = Series(ambient, _convolve(fld, f.coeffs, rest.pop(0).coeffs), None, None)
+    if not rest:
+        return f
+    k = ambient.k
+    ext = {h: _key_extents(h.coeffs or [(0,) * k]) for h in dict.fromkeys([f, *rest])}
+    # reach[i]: box less the summed key extents of the factors after rest[i]
+    reach = list(accumulate(map(ext.get, rest[:0:-1]), lambda r, e: (
+        [a - u for a, (_, u) in zip(r[0], e)], [b - l for b, (l, _) in zip(r[1], e)]),
+        initial=(box.lo, box.hi) if box else ([-math.inf] * k, [math.inf] * k)))[::-1]
+    runs = [(ext[h], len([*run])) for h, run in groupby([f, *rest])]
+    pk = _Packing(*_prefix_hull(k, runs), reach[-1])  # reach[-1] is box
+    ints, den = fld.integral(f.coeffs)
+    acc = {pk.pack(e): c for e, c in ints.items()}
+    scaled = {h: fld.integral(h.coeffs) for h in dict.fromkeys(rest)}
+    packed = {h: (sorted(zip(map(pk.step, m), m.values())), d, _effective_cone(h))
+              for h, (m, d) in scaled.items()}
+    c1, guard = _effective_cone(f), pk.guard
+    for i, (g, (rlo, rhi)) in enumerate(zip(rest, reach)):
+        ys, d, c2 = packed[g]
+        target = box if i == len(rest) - 1 else None
         if f.box is not None or g.box is not None:
             try:
                 target = box_intersect(_product_box(f, g, c1, c2), target)
             except ValueError:
                 raise BoxUnderflow(
                     "target box lies outside the certified product box") from None
-        lo, hi = target.lo, target.hi
-        if box is not None and j < len(factors):
-            # the reach of box: box minus the key extents of the factors
-            # still to come (one without stored terms leaves nothing anyway)
-            ext = [_key_extents(h.coeffs) for h in factors[j:] if h.coeffs]
-            lo = [max(a, b - sum(e[c][1] for e in ext))
-                  for c, (a, b) in enumerate(zip(lo, box.lo))]
-            hi = [min(a, b - sum(e[c][0] for e in ext))
-                  for c, (a, b) in enumerate(zip(hi, box.hi))]
-        f = Series(ambient, _convolve(fld, f.coeffs, g.coeffs, (lo, hi)),
-                   target, cone_sum(c1, c2))
-    return f
+        window = pk.window([*map(max, target.lo, rlo)], [*map(min, target.hi, rhi)])
+        acc = fld.reduce(_pair_loop(acc.items(), ys, window, guard)) if window else {}
+        den *= d
+        c1 = cone_sum(c1, c2)
+        f = Series(ambient, {}, target, c1)  # the terms stay packed in acc
+    coeffs = {pk.unpack(s): c for s, c in fld.reduce(acc, den).items()}
+    return Series(ambient, coeffs, target, c1)
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:
@@ -598,7 +598,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     is packed once for every step and the running power stays packed, over
     Q as ints over the base's denominator to the i-th power; ``scale`` goes
     into the c_i and ``shift`` into the unpacking offset, so the sum is
-    divided and unpacked once, in place.  Calling ``_convolve`` at each step
+    divided and unpacked once, in place.  Packing afresh at each step
     instead took a seed-1 jacobi-recovery pass from 0.28-0.33 to 0.35-0.38 s
     and dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
     """
@@ -627,8 +627,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
             if any(map(operator.gt, blo, bhi)):
                 raise BoxUnderflow("no point of the target box has its factors stored")
             box = Box(tuple(blo), tuple(bhi))
-    pk = _Packing([min(0, i_max * mu) for mu, _ in ext],
-                  [max(0, i_max * nu) for _, nu in ext], (blo, bhi))
+    pk = _Packing(*_prefix_hull(k, [(ext, i_max)]), (blo, bhi))
     guard = pk.guard
     base, fden = fld.integral(f.coeffs)
     step = sorted((pk.step(g), c) for g, c in base.items())

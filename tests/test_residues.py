@@ -368,20 +368,40 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
     that the factors still to come can carry into the X^-1 slab, and that
     cut leaves the certified boxes alone: the first working box serves
     every call, as it did when each product was formed whole."""
-    steps, attempts = [], []
-    convolve, in_box = series._convolve, residues._jacobi_in_box
+    steps, attempts, chains = [], [], []
+    convolve, pair_loop = series._convolve, series._pair_loop
+    in_box, mul_chain = residues._jacobi_in_box, residues._mul_chain
 
-    def recording(fld, a, b, region=None):
-        out = convolve(fld, a, b, region)
-        steps.append((b, region, out))
+    class Recording(series._Packing):
+        # each packed step of a chain asks for its window once
+        def window(self, lo, hi):
+            steps.append((self, {}))  # a window that misses forms nothing
+            return super().window(lo, hi)
+
+    def exact(fld, a, b):
+        out = convolve(fld, a, b)
+        steps.append((None, out))
+        return out
+
+    def packed(xs, ys, window, guard):
+        out = pair_loop(xs, ys, window, guard)
+        steps[-1] = steps[-1][0], out  # read by the step's packing
+        return out
+
+    def chain(factors, box):
+        steps.clear()  # keep the chain's products alone
+        out = mul_chain(factors, box)
+        chains.append((factors, list(steps)))
         return out
 
     def counting(*args):
         attempts.append(1)
-        steps.clear()  # keep the chain's products alone
         return in_box(*args)
 
-    monkeypatch.setattr(series, "_convolve", recording)
+    monkeypatch.setattr(series, "_Packing", Recording)
+    monkeypatch.setattr(series, "_convolve", exact)
+    monkeypatch.setattr(series, "_pair_loop", packed)
+    monkeypatch.setattr(residues, "_mul_chain", chain)
     monkeypatch.setattr(residues, "_jacobi_in_box", counting)
     calls = cut = 0
     for field in (QQ, PrimeField(5)):
@@ -390,16 +410,18 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
             for idx in idxs:
                 jacobi_coefficient(psi, p, idx)
                 calls += 1
-                assert len(steps) == p.n
-                for j, (_, region, out) in enumerate(steps[:-1]):
-                    if region is None:
+                factors, formed = chains[-1]
+                assert len(formed) == p.n
+                for j, (pk, out) in enumerate(formed[:-1]):
+                    if pk is None:
                         continue  # exact: formed whole, as its keys certify
                     cut += 1
-                    later = [b for b, _, _ in steps[j + 1:]]
+                    # step j multiplies in factors[j + 1]
+                    later = [h.coeffs for h in factors[j + 2:]]
                     for c in range(m, k):
                         lo = -1 - sum(max(g[c] for g in b) for b in later)
                         hi = -1 - sum(min(g[c] for g in b) for b in later)
-                        assert all(lo <= g[c] <= hi for g in out), (idx, j)
+                        assert all(lo <= pk.unpack(s)[c] <= hi for s in out), (idx, j)
     assert len(attempts) == calls
     assert cut == 40  # per field: 12 calls with n = 2, 4 with n = 3
 

@@ -27,8 +27,8 @@ from gpseries import (
     make_cone,
     parse_order,
 )
+from gpseries import identities, series
 from gpseries.series import (
-    _convolve,
     _mul_chain,
     _sum_powers,
     add,
@@ -527,6 +527,56 @@ def test_mul_chain_with_a_repeated_factor(inputs):
     _assert_canonical(amb.field, got.coeffs)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+@pytest.mark.parametrize("n", [50, 2 ** 70], ids=["50", "2^70"])
+def test_chain_packing_holds_every_partial_product(field, n):
+    """1/(1+X) in a box, then X^-n, then X^n: the middle partial product
+    lies n below the whole product's extents, and the chain still gives
+    the box, cone bounds and coefficients of the products in turn."""
+    amb = make_ambient(1, field=field)
+    f = invert(amb.one() + amb.var(1), Box((0,), (8,)))
+    factors = (f, amb.monomial(1, (-n,)), amb.monomial(1, (n,)))
+    for box in [None, Box((2,), (5,)), Box((-math.inf,), (3,))]:
+        want = mul_within(mul(*factors[:2]), factors[2], box)
+        got = _mul_chain(factors, box)
+        assert got.box == want.box and got.cone.bounds == want.cone.bounds
+        assert got.coeffs == want.coeffs and len(got.coeffs) >= 4
+
+
+def test_one_packing_per_chain(monkeypatch):
+    """A chain packs its exponents once, however many factors it has; the
+    product of two exact series packs nothing."""
+    made = []
+
+    class Counting(series._Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    amb = make_ambient(2)
+    X, Y = amb.var(1), amb.var(2)
+    f = invert(amb.one() - X + Y.scale(2), Box((0, 0), (8, 8)))
+    g = amb.one() + X.scale(3) - mul(X, Y) + Y ** 2
+    h = invert(amb.one() + mul(X, Y), Box((0, 0), (6, 6)))
+    monkeypatch.setattr(series, "_Packing", Counting)
+    assert _mul_chain((f, g, h, g), Box((0, 0), (4, 4))).coeffs
+    assert len(made) == 1
+    made.clear()
+    assert mul(g, g).coeffs and not made
+    # Egorychev at (1,1,1,1): the inverted denominator, then Delta 4 times
+    chain, counts = identities._mul_chain, []
+
+    def counted(factors, box):
+        made.clear()
+        out = chain(factors, box)
+        counts.append((len(factors), len(made)))
+        return out
+
+    monkeypatch.setattr(identities, "_mul_chain", counted)
+    assert identities._egorychev_lhs(identities.DysonInstance((1, 1, 1, 1))) == 24
+    assert counts == [(5, 1)]
+
+
 def test_mul_within_outside_certified_box_raises():
     amb = make_ambient(2)
     f = invert(amb.one() - amb.var(1), Box((0, 0), (8, 8)))
@@ -576,14 +626,28 @@ def _convolution_inputs(draw):
     lo = st.just(-math.inf) | st.integers(-12, 12)
     hi = st.just(math.inf) | st.integers(-12, 12)
     region = st.none() | st.tuples(st.tuples(*[lo] * k), st.tuples(*[hi] * k))
-    return fld, draw(maps), draw(maps), draw(region)
+    return k, fld, draw(maps), draw(maps), draw(region)
+
+
+def _exact_product(k, fld, a, b, region):
+    """The product of the exact series with coefficient maps a and b in k
+    coordinates: whole by the chain's tuple product with no region, else by
+    ``mul_within`` in the box [lo, hi] (an empty region is no box, and
+    holds nothing)."""
+    amb = make_ambient(k, field=fld)
+    f, g = amb.series(a), amb.series(b)
+    if region is None:
+        return _mul_chain((f, g), None).coeffs
+    if any(lo > hi for lo, hi in zip(*region)):
+        return {}
+    return mul_within(f, g, Box(*region)).coeffs
 
 
 @settings(max_examples=300, deadline=None)
 @given(_convolution_inputs())
 def test_convolve_matches_filtered_tuple_convolution(inputs):
-    fld, a, b, region = inputs
-    out = _convolve(fld, a, b, region)
+    k, fld, a, b, region = inputs
+    out = _exact_product(k, fld, a, b, region)
     assert out == _reference_convolution(fld, a, b, region)
     _assert_canonical(fld, out)
 
@@ -599,11 +663,11 @@ def test_convolve_beyond_machine_words():
                    ((-big, -inf), (big, 0)),
                    ((big // 2, -inf), (inf, inf)),
                    ((3, 0), (3, 0))]:
-        out = _convolve(QQ, a, b, region)
+        out = _exact_product(2, QQ, a, b, region)
         assert out == _reference_convolution(QQ, a, b, region)
         _assert_canonical(QQ, out)
     # six of the twelve pairs land at or past big / 2 in coordinate 0
-    assert len(_convolve(QQ, a, b, ((big // 2, -inf), (inf, inf)))) == 6
+    assert len(_exact_product(2, QQ, a, b, ((big // 2, -inf), (inf, inf)))) == 6
 
 
 @st.composite
