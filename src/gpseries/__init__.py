@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     PositiveCharacteristic,
     SingularOrderMatrix,
+    TooManyDigits,
     UndeclaredVariable,
     UnknownMode,
     ZeroSeries,

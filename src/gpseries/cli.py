@@ -33,10 +33,11 @@ from .errors import (
     BoxUnderflow,
     GPSeriesError,
     ParseError,
+    TooManyDigits,
     UndeclaredVariable,
 )
 from .exponents import Box, GroupSplit, lex_order, parse_order, zero_exp
-from .fields import field_from_name
+from .fields import digits, field_from_name
 from .identities import DysonInstance, dyson_verify
 from .residues import check_parameters, jacobi_coefficient, represent
 from .series import (
@@ -84,10 +85,15 @@ def tokenize(text: str):
             raise ParseError(f"unexpected character {val!r}", line, col,
                              ("digit", "identifier") + tuple(_PUNCT))
         else:
-            if kind == "rational":
-                val = Fraction(*map(int, val.split("/")))
-            elif kind == "int":
-                val = int(val)
+            try:
+                if kind == "rational":
+                    val = Fraction(*map(int, val.split("/")))
+                elif kind == "int":
+                    val = int(val)
+            except ValueError:  # ASCII digits: only too many of them fail
+                raise TooManyDigits(
+                    f"number at line {line}, column {col} has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
             out.append((kind, val, line, col))
     out.append(("eof", None, line, len(text) - line_start + 1))
     return out
@@ -300,7 +306,7 @@ def evaluate(ast, cfg: SessionConfig) -> Series:
 # -- output formatting ----------------------------------------------------
 
 def _scalar_text(fld, c) -> str:
-    return str(fld.coerce(c))
+    return digits(fld.coerce(c))
 
 
 def _monomial_text(cfg: SessionConfig, g) -> str:
@@ -308,11 +314,11 @@ def _monomial_text(cfg: SessionConfig, g) -> str:
     parts = []
     h = g[:split.m]
     if any(h):
-        parts.append("e^(" + ",".join(str(v) for v in h) + ")")
+        parts.append("e^(" + ",".join(map(digits, h)) + ")")
     for name, e in zip(cfg.var_names, g[split.m:]):
         if e == 0:
             continue
-        parts.append(name if e == 1 else f"{name}^{e}")
+        parts.append(name if e == 1 else f"{name}^{digits(e)}")
     return "*".join(parts)
 
 
@@ -351,7 +357,7 @@ def _h_series_text(f: Series, cfg: SessionConfig) -> str:
 
 def _show(args, cfg: SessionConfig, f: Series, text) -> int:
     """Print f as JSON under --json, else as ``text(f, cfg)``."""
-    print(json.dumps(series_to_json(f)) if args.json else text(f, cfg))
+    print(digits(series_to_json(f), json.dumps) if args.json else text(f, cfg))
     return 0
 
 
@@ -504,7 +510,7 @@ def run(argv) -> int:
             return 2
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (GPSeriesError, ValueError) as e:
+    except GPSeriesError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

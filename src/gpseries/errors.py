@@ -80,5 +80,10 @@ class UndeclaredVariable(GPSeriesError):
     """Expression references a variable that was not declared."""
 
 
+class TooManyDigits(GPSeriesError):
+    """A number has more decimal digits than Python converts to or from
+    text (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+
 class UnknownMode(GPSeriesError, ValueError):
     """A Dyson method or n-form basis mode that does not exist was named."""

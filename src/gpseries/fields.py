@@ -15,10 +15,21 @@ denominators back to ``reduce``, which divides each result once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GPSeriesError
+from .errors import GPSeriesError, TooManyDigits
+
+
+def digits(x, text=str) -> str:
+    """text(x), by default str of an int or a Fraction, or TooManyDigits
+    where Python refuses to write a number with that many decimal digits."""
+    try:
+        return text(x)
+    except ValueError:
+        raise TooManyDigits(f"a number has more than {sys.get_int_max_str_digits()}"
+                            " digits, too many to print") from None
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -99,7 +110,7 @@ class RationalField:
 
     def format(self, x) -> str:
         x = self.coerce(x)
-        return f"{x.numerator}/{x.denominator}"
+        return f"{digits(x.numerator)}/{digits(x.denominator)}"
 
     def parse(self, s: str):
         if "/" in s:
@@ -165,7 +176,7 @@ class PrimeField:
         return pow(self.coerce(x), k, self.p)
 
     def format(self, x) -> str:
-        return str(self.coerce(x))
+        return digits(self.coerce(x))
 
     def parse(self, s: str):
         return int(s) % self.p

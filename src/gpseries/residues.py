@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
@@ -160,12 +161,36 @@ def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
     numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
     only the X^-1 slab: one ``_mul_chain`` forms each partial product only
     where the factors still to come can carry it there.  ``num`` is
-    psi J(Phi)."""
-    factors = [num] + [power(f, -i - 1, working_box)
-                       for f, i in zip(p.members, idx)]
+    psi J(Phi).
+
+    Each power is computed by ``power`` only in the part of the working
+    box that the other factors can carry into the slab: in each variable
+    coordinate, the slab less num's extents and the other powers' support
+    hulls.  The hull of Phi_l^k is k g plus the hull of 0 and the tail's
+    support bounds, so it is infinite on a side where the tail reaches.
+    The power's box stays a certificate, and a smaller box lowers the
+    ``power_exhaustion_bound`` of its sum.  Where the cut is empty in some
+    coordinate the power keeps the working box."""
+    m, k = p.ambient.split.m, p.ambient.k
+    hulls = []  # per member, per coordinate, the hull of its power's support
+    for (a, g, tail), i in zip(p.leading, idx):
+        bounds = _extents(tail) if tail.box is None else tail.cone.bounds
+        hulls.append([(-(i + 1) * v if mu >= 0 else -math.inf,
+                       -(i + 1) * v if nu <= 0 else math.inf)
+                      for v, (mu, nu) in zip(g, bounds)])
+    ext = _extents(num)
+    factors = [num]
+    for l, (f, i) in enumerate(zip(p.members, idx)):
+        others = hulls[:l] + hulls[l + 1:]
+        lo, hi = list(working_box.lo), list(working_box.hi)
+        for c in range(m, k):
+            lo[c] = max(lo[c], -1 - ext[c][1] - sum(h[c][1] for h in others))
+            hi[c] = min(hi[c], -1 - ext[c][0] - sum(h[c][0] for h in others))
+        if any(map(operator.gt, lo, hi)):  # nothing reaches: no cut
+            lo, hi = working_box.lo, working_box.hi
+        factors.append(power(f, -i - 1, Box(tuple(lo), tuple(hi))))
     # an exact chain is exact everywhere, and so is the answer; otherwise
     # the slab's H coordinates are cut to the certified product box
-    m = p.ambient.split.m
     slab = None if all(f.box is None for f in factors) else Box(
         (-math.inf,) * m + (-1,) * p.n, (math.inf,) * m + (-1,) * p.n)
     return residue(GeneralizedFraction(NForm(_mul_chain(factors, slab)), p))

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, count, groupby, repeat
+from itertools import accumulate, groupby
 
 from .errors import (
     BoxNotContained,
@@ -27,9 +24,7 @@ from .errors import (
     DimensionMismatch,
     IncompatibleAmbient,
     LeadingTermUncertain,
-    NotPositive,
     OutsideBox,
-    PositiveCharacteristic,
     ZeroSeries,
 )
 from .exponents import (
@@ -46,10 +41,10 @@ from .exponents import (
     exp_sub,
     make_cone,
     parse_order,
-    power_exhaustion_bound,
     zero_exp,
 )
 from .fields import field_from_name
+from .packing import _convolve, _Packing, _pair_loop, _prefix_hull
 
 
 @dataclass(frozen=True)
@@ -290,123 +285,6 @@ def _effective_cone(f: Series):
     return f.cone
 
 
-class _Packing:
-    """Exponents inside the coordinate box [lo, hi], each packed into one
-    int (after Monagan and Pearce): coordinate c takes a slot of
-    (hi[c] - lo[c]).bit_length() bits plus one guard bit above it.
-
-    ``pack(g)`` stores g - lo and ``step(h)`` stores h itself, so for any g
-    and h whose sum lies in the box (as every partial sum of a product does
-    in the box of ``_prefix_hull``), ``pack(g) + step(h) == pack(g + h)``.
-    Then no slot carries into the next, ``window`` turns a region into two
-    constants against which one masked compare each tests every coordinate
-    of such a sum at once, and packed order sorts by the top slot first.
-    The top slot goes to the coordinate in which ``region`` is narrowest
-    against the box, so that a sorted run of packed terms can be cut to it
-    by bisection.
-    """
-
-    def __init__(self, lo, hi, region):
-        self.lo = tuple(lo)
-        self.span = tuple(map(operator.sub, hi, lo))
-        k = len(self.lo)
-        rlo, rhi = region
-        self.top = min(range(k), key=lambda c: (
-            min(rhi[c], hi[c]) - max(rlo[c], lo[c]) + 1) / (self.span[c] + 1))
-        self.shifts = [0] * k
-        self.masks = [0] * k
-        self.guard = 0
-        at = 0
-        for c in [c for c in range(k) if c != self.top] + [self.top]:
-            w = self.span[c].bit_length()
-            self.shifts[c] = at
-            self.masks[c] = (1 << w) - 1
-            self.guard |= 1 << (at + w)
-            at += w + 1
-
-    def pack(self, g) -> int:
-        return sum(map(operator.lshift, map(operator.sub, g, self.lo),
-                       self.shifts))
-
-    def step(self, h) -> int:
-        return sum(map(operator.lshift, h, self.shifts))
-
-    def unpack(self, s: int):
-        return tuple(map(operator.add, self.lo, map(
-            operator.and_, map(operator.rshift, repeat(s), self.shifts),
-            self.masks)))
-
-    def window(self, lo, hi):
-        """(low, high, first, stop), None if the region [lo, hi] misses
-        the box.  A packed s lies in the region iff
-        ``(s + low) & guard == guard`` (every slot >= lo) and
-        ``(high - s) & guard == guard`` (every slot <= hi); its top slot
-        does iff first <= s < stop.  ``lo`` and ``hi`` may hold infinite
-        ends."""
-        low = high = self.guard
-        for c, (sh, a, d) in enumerate(zip(self.shifts, self.lo, self.span)):
-            l = max(0, lo[c] - a)
-            h = min(d, hi[c] - a)
-            if l > h:
-                return None
-            low -= l << sh
-            high += h << sh
-            if c == self.top:
-                first, stop = l << sh, (h + 1) << sh
-        return low, high, first, stop
-
-
-def _prefix_hull(k, runs):
-    """The box (lo, hi) spanned by 0 and the prefix sums of the key extents of
-    factors given in runs (extents, t) of t equal ones: a run's ends are extreme."""
-    lo, hi, at_lo, at_hi = [0] * k, [0] * k, [0] * k, [0] * k
-    for ext, t in runs:
-        for c, (mu, nu) in enumerate(ext):
-            at_lo[c] += t * mu
-            at_hi[c] += t * nu
-        lo, hi = list(map(min, lo, at_lo)), list(map(max, hi, at_hi))
-    return lo, hi
-
-
-def _pair_loop(xs, ys, window, guard) -> dict:
-    """Sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
-    packed sum x + y lies in ``window``, keyed by that sum.  ``ys`` is
-    sorted, and for each x only the run of ys that puts the top slot of
-    x + y inside the window is visited.  With no window every pair is
-    formed: the masked compares cost an exact Delta^12 (n = 4) 0.97 s
-    against 0.57 s without them."""
-    full = window is None
-    low, high, first, stop = window or (0, 0, -math.inf, math.inf)
-    keys = [y for y, _ in ys]
-    out = {}
-    get = out.get
-    for x, c1 in xs:
-        lx = x + low
-        hx = high - x
-        for y, c2 in ys[bisect_left(keys, first - x):bisect_left(keys, stop - x)]:
-            if full or (lx + y) & guard == guard and (hx - y) & guard == guard:
-                s = x + y
-                out[s] = get(s, 0) + c1 * c2
-    return out
-
-
-def _convolve(fld, a: dict, b: dict) -> dict:
-    """The exact product of two exact coefficient maps, pairs summed as
-    tuples, for an exact prefix of ``_mul_chain``: such operands are small,
-    and replaying the 11,655 such calls of a seed-1 cli-session pass through
-    the packed loop took 0.78 s against 0.30 s (process time)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    plus = operator.add
-    for g1, c1 in a.items():
-        for g2, c2 in b.items():
-            g = tuple(map(plus, g1, g2))
-            out[g] = get(g, 0) + c1 * c2
-    return fld.reduce(out)
-
-
 def add(f: Series, g: Series) -> Series:
     """f + g, known where both summands are: a summand's box counts only
     where its cone bounds reach past it, and where the cut leaves an end
@@ -567,188 +445,6 @@ def factorize(f: Series):
     return a, g, tail.shift(exp_neg(g))
 
 
-def _bound_support_set(f: Series):
-    """Finite positive set whose sums cover all sums of supp-f elements, for
-    f positive: an exact series' keys, else its cone's generators and its
-    offset if nonzero.  ``factorize`` certifies that offset: 0 for a tail,
-    whose elements are nonzero generator sums, or a substitution base's
-    positive leading exponent, which each element contains once."""
-    if f.box is None:
-        return list(f.coeffs)
-    cone = _effective_cone(f)
-    return ([cone.offset] if any(cone.offset) else []) + list(cone.generators)
-
-
-def _times(t: int, v):
-    """t * v for a factor count t >= 0 and a bound end v, with 0 * inf = 0."""
-    return t * v if t else 0
-
-
-def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
-    """The one powering kernel: scale * e^shift * sum_i c_i f^i, i <= i_cap,
-    with c_0, c_1, ... drawn from the iterator ``cs`` (0 once it runs out).
-
-    With no box (exact mode) f is exact and i_cap finite; every term is
-    kept and the result is exact everywhere.  With a box, f's support must
-    be proven positive: ``power_exhaustion_bound`` over
-    ``_bound_support_set(f)`` bounds the powers that reach the box and
-    generates the result's cone, after i factors only exponents that the
-    other i_max - i can carry into the box are kept, and for a truncated f
-    ``_stored_cut`` cuts the box to where every factor is stored.  The base
-    is packed once for every step and the running power stays packed, over
-    Q as ints over the base's denominator to the i-th power; ``scale`` goes
-    into the c_i and ``shift`` into the unpacking offset, so the sum is
-    divided and unpacked once, in place.  Packing afresh at each step
-    instead took a seed-1 jacobi-recovery pass from 0.28-0.33 to 0.35-0.38 s
-    and dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
-    """
-    fld = f.field
-    order = f.order
-    k = order.k
-    zero = zero_exp(k)
-    shift = zero if shift is None else shift
-    ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
-    bounds = ext if f.box is None else f.cone.bounds
-    i_max, blo, bhi = i_cap, [-math.inf] * k, [math.inf] * k
-    if box is not None:
-        elems = _bound_support_set(f)
-        i_max = min(i_cap, power_exhaustion_bound(order, elems, box))
-        blo, bhi = box.lo, box.hi
-    # every pair sums at most i_max terms of f, and the origin is 0
-    if f.box is not None and i_max >= 1:
-        # the other factors of a sum in the box add [down, up] to it
-        down = [min(0, _times(i_max - 1, mu)) for mu, _ in bounds]
-        up = [max(0, _times(i_max - 1, nu)) for _, nu in bounds]
-        if any(max(mu, a - u) > min(nu, b - d) for (mu, nu), a, b, d, u
-               in zip(bounds, blo, bhi, down, up)):
-            i_max = 0  # no single factor fits: only the constant term
-        else:
-            blo, bhi = _stored_cut(f, down, up, blo, bhi)
-            if any(map(operator.gt, blo, bhi)):
-                raise BoxUnderflow("no point of the target box has its factors stored")
-            box = Box(tuple(blo), tuple(bhi))
-    pk = _Packing(*_prefix_hull(k, [(ext, i_max)]), (blo, bhi))
-    guard = pk.guard
-    base, fden = fld.integral(f.coeffs)
-    step = sorted((pk.step(g), c) for g, c in base.items())
-    inbox = pk.window(blo, bhi)
-    c0 = fld.coerce(scale * next(cs, 0))
-    origin = pk.pack(zero)
-    den = c0.denominator  # acc holds ints over den
-    acc = {origin: c0.numerator} if box is None or box.contains(zero) else {}
-    get = acc.get
-    pw = {origin: 1}  # ints over pden
-    pden = 1
-    window = None  # exact mode: every pair
-    for i in range(1, i_max + 1):
-        # where the i-th power must lie to still reach the box
-        t = i_max - i
-        if box is not None and not (window := pk.window(
-                [a - max(0, _times(t, nu)) for a, (_, nu) in zip(blo, bounds)],
-                [b - min(0, _times(t, mu)) for b, (mu, _) in zip(bhi, bounds)])):
-            break
-        pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
-        if not pw:
-            break
-        pden *= fden
-        ci = fld.coerce(scale * next(cs, 0))
-        if ci == 0 or inbox is None:
-            continue
-        d = ci.denominator * pden
-        if den % d:
-            m = d // math.gcd(den, d)
-            acc = {s: v * m for s, v in acc.items()}
-            get = acc.get
-            den *= m
-        m = ci.numerator * (den // d)
-        low, high = inbox[:2]
-        for s, v in pw.items():
-            if (s + low) & guard == guard and (high - s) & guard == guard:
-                acc[s] = get(s, 0) + m * v
-    pk.lo = exp_add(pk.lo, shift)
-    unpack = pk.unpack
-    coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
-    if box is None:
-        return Series(f.ambient, coeffs, None, None)
-    # power_exhaustion_bound has classified every element as positive
-    return Series(f.ambient, coeffs, box.shift(shift), Cone(shift, tuple(elems)))
-
-
-def substitute(c, f: Series, target_box=None) -> Series:
-    """sum_i c_i f^i for a positive series f.
-
-    ``c`` is a finite sequence or a callable i -> scalar.  A target box is
-    required unless ``c`` is finite (the polynomial case).  It is one
-    ``_sum_powers`` call, in exact mode for a polynomial in an exact f, save
-    for a polynomial in a truncated f with no target box: that one takes
-    repeated ``mul``, each product certified by ``_product_box``.
-    """
-    _check_box(f.ambient, target_box)
-    try:
-        _, g, tail = factorize(f)
-    except ZeroSeries:
-        f = f.ambient.zero()  # certifiably zero, so are its powers
-    else:
-        if not f.order.is_positive(g):
-            raise NotPositive("substitution base must be a positive series")
-        # the cone at or above g that factorize proved
-        f = Series(f.ambient, f.coeffs, f.box, tail.cone and tail.cone.shift(g))
-    if target_box is None:
-        if callable(c):
-            if f.is_zero():
-                return f.ambient.constant(c(0))
-            raise BoxUnderflow("target box required for an infinite coefficient list")
-        if f.box is not None:
-            pws = accumulate(repeat(f, len(c) - 1), mul, initial=f.ambient.one())
-            return reduce(add, map(Series.scale, pws, c), f.ambient.zero())
-    cs = map(c, count()) if callable(c) else iter(c)
-    return _sum_powers(cs, f, target_box, math.inf if callable(c) else len(c) - 1)
-
-
-def invert(f: Series, target_box=None) -> Series:
-    """Inverse f^-1, exact in the target box; see ``power``."""
-    return power(f, -1, target_box)
-
-
-def power(f: Series, k: int, target_box=None) -> Series:
-    """Integer power: one generalized-binomial sum on the factorization
-    f = a e^g (1 + tail), tail positive with the cone factorize certified,
-    f^k = a^k e^(kg) sum_i binom(k, i) tail^i by ``_sum_powers``.  For k >= 0
-    and an exact f the sum stops at i = k in exact mode, so the result is
-    exact whatever target box is passed; for k < 0 it is exact in the target
-    box cut where the tail is not stored.  A monomial gives one monomial.
-
-    Repeated ``mul``, each product certified by ``_product_box``, remains
-    for a nonnegative power of a truncated f, and of an exact f with
-    k * #f <= 20, where the kernel's set-up (about 50 us) lost to it up to
-    (1+X)^7, a 3-term f^8 and a 6-term f^4 in two variables; 0^k is one mul."""
-    _check_box(f.ambient, target_box)
-    n = len(f.coeffs)
-    if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):
-        return reduce(mul, repeat(f, min(k, 1) if f.is_zero() else k), f.ambient.one())
-    a, g, tail = factorize(f)
-    ak = f.field.power(a, k)
-    kg = tuple(k * v for v in g)
-    if tail.is_zero():
-        return f.ambient.monomial(ak, kg)
-    if k < 0 and target_box is None:
-        raise BoxUnderflow("inverting a non-monomial requires a target box")
-    # binom(k, i) = binom(k, i - 1) (k - i + 1) / i, an exact division
-    binoms = accumulate(count(1), lambda b, i: b * (k - i + 1) // i, initial=1)
-    box = None if k >= 0 else target_box.shift(exp_neg(kg))
-    return _sum_powers(binoms, tail, box, k if k >= 0 else math.inf, ak, kg)
-
-
-def log1p(f: Series, target_box=None) -> Series:
-    """log(1 + f) = f - f^2/2 + f^3/3 - ...; characteristic zero only."""
-    if f.field.characteristic != 0:
-        raise PositiveCharacteristic("log is undefined in positive characteristic")
-    if f.is_zero():
-        return f.ambient.zero()
-    return substitute(
-        lambda i: Fraction((-1) ** (i + 1), i) if i > 0 else 0, f, target_box)
-
-
 def coefficient_at(f: Series, g):
     return f.coefficient_at(g)
 
@@ -821,3 +517,8 @@ def series_from_json(data: dict) -> Series:
                          [tuple(g) for g in c["generators"]],
                          tuple(tuple(b) for b in c["bounds"]))
     return ambient.series(coeffs, box=box, cone=cone)
+
+
+# powers.py builds on this module, so it comes last; its public names are
+# series operations too, and Series.__pow__ calls power
+from .powers import invert, log1p, power, substitute  # noqa: E402

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gpseries import cli
 from gpseries.cli import (
     GRAMMAR_HELP,
     MAX_NESTING,
@@ -203,6 +204,30 @@ def test_readme_cli_examples(capsys):
 def test_domain_error_exits_one(capsys):
     assert run(["eval", "1/0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "2^100000"],
+    ["eval", "2^100000", "--json"],
+    ["eval", "(1+X)^20000"],  # the middle binomials
+    ["eval", "7" * 5000],  # a literal too long to read
+    ["eval", f"(X^{'7' * 3000})^{'7' * 3000}", "--json"],  # an exponent
+], ids=["scalar", "scalar-json", "binomials", "literal", "exponent-json"])
+def test_too_many_digits_exits_one(capsys, argv):
+    # Python reads and writes at most 4300 decimal digits of an int
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4300 digits" in err
+
+
+def test_library_bug_is_not_a_domain_error(monkeypatch):
+    # run catches the library's typed errors, not whatever a bug raises
+    def broken(node, cfg):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "evaluate", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["eval", "X"])
 
 
 def test_missing_box_exits_two(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box, PrimeField, QQ, residues, series
+from gpseries import Box, PrimeField, QQ, parse_order, residues, series
 from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian
 from gpseries.errors import (
     DimensionMismatch,
@@ -416,14 +416,136 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
                     if pk is None:
                         continue  # exact: formed whole, as its keys certify
                     cut += 1
-                    # step j multiplies in factors[j + 1]
-                    later = [h.coeffs for h in factors[j + 2:]]
+                    # step j multiplies in factors[j + 1]; an aimed power
+                    # may store nothing, and reads as 0, as in _mul_chain
+                    later = [h.coeffs or [(0,) * k] for h in factors[j + 2:]]
                     for c in range(m, k):
                         lo = -1 - sum(max(g[c] for g in b) for b in later)
                         hi = -1 - sum(min(g[c] for g in b) for b in later)
                         assert all(lo <= pk.unpack(s)[c] <= hi for s in out), (idx, j)
     assert len(attempts) == calls
     assert cut == 40  # per field: 12 calls with n = 2, 4 with n = 3
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_aimed_powers_hold_every_term_that_reaches_the_slab(field, monkeypatch):
+    """Each member power of the chain is computed only in the part of the
+    working box that the other factors can carry into the X^-1 slab.  There
+    it agrees with the same power over the whole working box, and it holds
+    every term of that power which stored terms of the other factors can
+    carry into the slab."""
+    calls = []
+    in_box, full_power = residues._jacobi_in_box, residues.power
+
+    def recording(num, p, idx, working_box):
+        calls.append((num, working_box, []))
+        return in_box(num, p, idx, working_box)
+
+    def aimed(f, k, box):
+        out = full_power(f, k, box)
+        calls[-1][2].append((f, k, box, out))
+        return out
+
+    monkeypatch.setattr(residues, "_jacobi_in_box", recording)
+    monkeypatch.setattr(residues, "power", aimed)
+    aimed_terms = full_terms = 0
+    for psi, p, idxs in _slab_cases(field):
+        m, k = p.ambient.split.m, p.ambient.k
+        for idx in idxs:
+            calls.clear()
+            jacobi_coefficient(psi, p, idx)
+            (num, working_box, powers), = calls  # one working-box attempt
+            full = [full_power(f, e, working_box) for f, e, _, _ in powers]
+            for l, (f, e, box, out) in enumerate(powers):
+                assert working_box.contains_box(box)
+                assert all(map(box.contains, out.coeffs)), (idx, l)
+                assert out.eq_within(full[l])
+                others = [num.coeffs] + [h.coeffs for j, h in enumerate(full) if j != l]
+                if not all(others):
+                    continue  # an empty factor carries nothing into the slab
+                for g, c in full[l].coeffs.items():
+                    if all(-1 - sum(max(h[c2] for h in b) for b in others) <= g[c2]
+                           <= -1 - sum(min(h[c2] for h in b) for b in others)
+                           for c2 in range(m, k)):
+                        assert out.coefficient_at(g) == c, (idx, l, g)
+            aimed_terms += sum(len(out.coeffs) for *_, out in powers)
+            full_terms += sum(len(h.coeffs) for h in full)
+    # the aimed powers store about an eighth of what the working box holds
+    assert (aimed_terms, full_terms) == {0: (93, 819), 5: (61, 506)}[
+        field.characteristic]
+
+
+def _shape_systems(field):
+    """Members outside _slab_cases' shape: tails X1 X2^-1, positive under
+    lex but negative in X2, so the powers' support hulls are infinite below
+    in X2; a non-lex order under which X1^2 X2^-1 is positive; and a
+    truncated member, X1 / (1 - X2 - X1 X2) in a box."""
+    amb = make_ambient(2, field=field)
+    x1, x2, one = amb.var(1), amb.var(2), amb.one()
+    tail = amb.monomial(1, (1, -1))
+    yield [mul(x1, one + tail), mul(x2, one + tail)]
+    amb = make_ambient(2, order=parse_order("1,1;1,0"), field=field)
+    x1, x2, one = amb.var(1), amb.var(2), amb.one()
+    yield [mul(x1, one + amb.monomial(2, (2, -1))), mul(x2, one + x1.scale(3))]
+    amb = make_ambient(2, field=field)
+    x1, x2, one = amb.var(1), amb.var(2), amb.one()
+    yield [mul(x1, invert(one - x2 - mul(x1, x2), Box((-2, -2), (12, 12)))),
+           mul(x2, one + x1)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_aimed_powers_on_other_shapes(field, monkeypatch):
+    """Planted coefficients come back in one working-box attempt, agree
+    with the whole chain and with a working box twice as wide, on systems
+    whose powers are aimed across an infinite hull end, under a non-lex
+    order and from a truncated member.  So does X1^-3 X2^5 + 2 X1^-2 X2^3,
+    whose X2 extents lie above what a finite hull end would let through."""
+    attempts = []
+    in_box = residues._jacobi_in_box
+    monkeypatch.setattr(residues, "_jacobi_in_box",
+                        lambda *args: attempts.append(1) or in_box(*args))
+    planted = {(0, 0): 2, (1, 0): -1, (0, 2): 3, (2, 1): 1}
+    for fs in _shape_systems(field):
+        p = check_parameters(fs)
+        amb = p.ambient
+        sum_psi = amb.zero()
+        for (i, j), c in planted.items():
+            sum_psi = add(sum_psi, mul(power(fs[0], i), power(fs[1], j)).scale(c))
+        offset = add(amb.monomial(1, (-3, 5)), amb.monomial(2, (-2, 3)))
+        for psi, idx in [*((sum_psi, idx) for idx in [*planted, (1, 1)]),
+                         (offset, (0, 0)), (offset, (1, 0))]:
+            attempts.clear()
+            got = jacobi_coefficient(psi, p, idx)
+            assert len(attempts) == 1
+            if psi is sum_psi:
+                assert got.coefficient_at((0, 0)) == field.coerce(planted.get(idx, 0))
+            box = _default_working_box(p, idx, 2)
+            assert got.eq_within(_full_chain(psi, p, idx, box)), idx
+            wide = jacobi_coefficient(psi, p, idx, Box(
+                tuple(2 * v for v in box.lo), tuple(2 * v for v in box.hi)))
+            assert wide.box.contains_box(got.box) and got.eq_within(wide)
+
+
+def test_jacobi_reach_that_misses_the_working_box(monkeypatch):
+    """Where psi J(Phi) lies beyond what the other factors can carry into
+    the slab, the reach of a power misses the working box; that power keeps
+    the working box, and the coefficient is 0, certified at the origin."""
+    amb = make_ambient(2)
+    x1, x2, one = amb.var(1), amb.var(2), amb.one()
+    p = check_parameters([mul(x1, one + x2), mul(x2, one + x1)])
+    boxes = []
+    in_box, full_power = residues._jacobi_in_box, residues.power
+    monkeypatch.setattr(residues, "_jacobi_in_box", lambda num, p, idx, box: (
+        boxes.append(box) or in_box(num, p, idx, box)))
+    monkeypatch.setattr(residues, "power", lambda f, k, box: (
+        boxes.append(box) or full_power(f, k, box)))
+    for psi in (amb.monomial(1, (50, 0)), amb.monomial(1, (-50, 3))):
+        got = jacobi_coefficient(psi, p, (0, 0))
+        assert got.coeffs == {} and got.box == Box((0, 0), (0, 0))
+    # X1^50: neither power can reach the slab from the first working box
+    assert boxes[:3] == [_default_working_box(p, (0, 0))] * 3
+    got = jacobi_coefficient(one + amb.monomial(1, (40, 40)), p, (0, 0))
+    assert got.coeffs == {(0, 0): 1} and got.box == Box((0, 0), (0, 0))
 
 
 def test_fraction_json_round_trip():

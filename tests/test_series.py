@@ -28,9 +28,9 @@ from gpseries import (
     parse_order,
 )
 from gpseries import identities, series
+from gpseries.powers import _sum_powers
 from gpseries.series import (
     _mul_chain,
-    _sum_powers,
     add,
     factorize,
     h_coefficient_at,
