@@ -321,14 +321,33 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
 _CERTIFY_BUDGET = 200_000  # cone points visited before certification gives up
 
 
+@dataclass(frozen=True)
+class Uncertified:
+    """Why ``certify_cone_below`` refused: ``escape`` is a cone point below
+    the bound outside the box, or None where the walk used up its budget.
+    It tests false, so ``if not cone`` catches a refusal."""
+
+    escape: object
+
+    def __bool__(self):
+        return False
+
+    @property
+    def reason(self) -> str:
+        if self.escape is None:
+            return f"the walk gave up after {_CERTIFY_BUDGET:,} cone points"
+        return f"cone point {self.escape} lies below it and outside the box"
+
+
 def certify_cone_below(order: TermOrder, cone: Cone, bound, box: Box):
     """Walk ``cone`` from its offset along its generators, checking that
     every cone point strictly below ``bound`` lies in ``box``.  A point at
     or above the bound is a crossing, not walked on: its successors only
     grow.  Return the cone of the points at or above ``bound``: offset
     ``bound``, generators the crossings minus ``bound`` and the old ones,
-    the old bounds; or None if a point escapes the box or the budget runs
-    out (the certificate then fails, it never lies)."""
+    the old bounds; or an ``Uncertified`` naming the point that escapes the
+    box or the budget that ran out (the certificate then fails, it never
+    lies)."""
     bound_key = order.key(bound)
     seen = {cone.offset}
     frontier = [cone.offset]
@@ -338,12 +357,12 @@ def certify_cone_below(order: TermOrder, cone: Cone, bound, box: Box):
         pt = frontier.pop()
         visited += 1
         if visited > _CERTIFY_BUDGET:
-            return None
+            return Uncertified(None)
         if order.key(pt) >= bound_key:
             crossings.append(exp_sub(pt, bound))
             continue
         if not box.contains(pt):
-            return None
+            return Uncertified(pt)
         for g in cone.generators:
             nxt = exp_add(pt, g)
             if nxt not in seen:

@@ -1,5 +1,9 @@
 """Powers and substitutions of a series: one binomial or coefficient sum,
-``sum_i c_i f^i``, computed by the powering kernel ``_sum_powers``."""
+``sum_i c_i f^i``, computed by the kernel ``_sum_powers``, save for the
+inverse of a series with an exact tail, which the division recurrence of
+``_invert_exact`` forms one point at a time.  Both take their bound on the
+powers that reach the target box, their packing and their reach windows
+from ``_reach_setup``."""
 
 from __future__ import annotations
 
@@ -41,35 +45,25 @@ def _times(t: int, v):
     return t * v if t else 0
 
 
-def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
-    """The one powering kernel: scale * e^shift * sum_i c_i f^i, i <= i_cap,
-    with c_0, c_1, ... drawn from the iterator ``cs`` (0 once it runs out).
+def _reach_setup(f: Series, box, i_cap):
+    """What both kernels set up: (i_max, box, elems, pk, reach).
 
-    With no box (exact mode) f is exact and i_cap finite; every term is
-    kept and the result is exact everywhere.  With a box, f's support must
-    be proven positive: ``power_exhaustion_bound`` over
-    ``_bound_support_set(f)`` bounds the powers that reach the box and
-    generates the result's cone, after i factors only exponents that the
-    other i_max - i can carry into the box are kept, and for a truncated f
-    ``_stored_cut`` cuts the box to where every factor is stored.  The base
-    is packed once for every step and the running power stays packed, over
-    Q as ints over the base's denominator to the i-th power; ``scale`` goes
-    into the c_i and ``shift`` into the unpacking offset, so the sum is
-    divided and unpacked once, in place.  Packing afresh at each step
-    instead took a seed-1 jacobi-recovery pass from 0.28-0.33 to 0.35-0.38 s
-    and dyson-routes from 1.87-1.98 to 2.09-2.24 s (process time).
+    With a box, f's support must be proven positive:
+    ``power_exhaustion_bound`` over ``elems = _bound_support_set(f)`` bounds
+    by i_max the powers that reach the box, and for a truncated f
+    ``_stored_cut`` cuts the box to where every factor is stored.  With no
+    box (exact mode) i_max is i_cap.  ``pk`` packs the prefix hull of i_max
+    factors, and ``reach(t)`` is the packed window where a partial sum must
+    lie for t more factors to carry it into the box (None where it misses
+    the packing box), so ``reach(0)`` is the box itself.
     """
-    fld = f.field
-    order = f.order
-    k = order.k
-    zero = zero_exp(k)
-    shift = zero if shift is None else shift
+    k = f.order.k
     ext = _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * k
     bounds = ext if f.box is None else f.cone.bounds
-    i_max, blo, bhi = i_cap, [-math.inf] * k, [math.inf] * k
+    i_max, elems, blo, bhi = i_cap, None, [-math.inf] * k, [math.inf] * k
     if box is not None:
         elems = _bound_support_set(f)
-        i_max = min(i_cap, power_exhaustion_bound(order, elems, box))
+        i_max = min(i_cap, power_exhaustion_bound(f.order, elems, box))
         blo, bhi = box.lo, box.hi
     # every pair sums at most i_max terms of f, and the origin is 0
     if f.box is not None and i_max >= 1:
@@ -85,10 +79,40 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
                 raise BoxUnderflow("no point of the target box has its factors stored")
             box = Box(tuple(blo), tuple(bhi))
     pk = _Packing(*_prefix_hull(k, [(ext, i_max)]), (blo, bhi))
+
+    def reach(t):
+        if not t:
+            return pk.window(blo, bhi)
+        return pk.window(
+            [a - max(0, _times(t, nu)) for a, (_, nu) in zip(blo, bounds)],
+            [b - min(0, _times(t, mu)) for b, (mu, _) in zip(bhi, bounds)])
+    return i_max, box, elems, pk, reach
+
+
+def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
+    """The binomial-sum kernel: scale * e^shift * sum_i c_i f^i, i <= i_cap,
+    with c_0, c_1, ... drawn from the iterator ``cs`` (0 once it runs out).
+
+    With no box (exact mode) f is exact and i_cap finite; every term is
+    kept and the result is exact everywhere.  With a box (see
+    ``_reach_setup``) the i-th power keeps only the exponents in
+    ``reach(i_max - i)``, those that the other i_max - i factors can carry
+    into the box.  The base is packed once for every step and the running
+    power stays packed, over Q as ints over the base's denominator to the
+    i-th power; ``scale`` goes into the c_i and ``shift`` into the
+    unpacking offset, so the sum is divided and unpacked once, in place.
+    Packing afresh at each step instead took a seed-1 jacobi-recovery pass
+    from 0.28-0.33 to 0.35-0.38 s and dyson-routes from 1.87-1.98 to
+    2.09-2.24 s (process time).
+    """
+    fld = f.field
+    zero = zero_exp(f.order.k)
+    shift = zero if shift is None else shift
+    i_max, box, elems, pk, reach = _reach_setup(f, box, i_cap)
     guard = pk.guard
     base, fden = fld.integral(f.coeffs)
     step = sorted((pk.step(g), c) for g, c in base.items())
-    inbox = pk.window(blo, bhi)
+    inbox = reach(0)
     c0 = fld.coerce(scale * next(cs, 0))
     origin = pk.pack(zero)
     den = c0.denominator  # acc holds ints over den
@@ -99,10 +123,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     window = None  # exact mode: every pair
     for i in range(1, i_max + 1):
         # where the i-th power must lie to still reach the box
-        t = i_max - i
-        if box is not None and not (window := pk.window(
-                [a - max(0, _times(t, nu)) for a, (_, nu) in zip(blo, bounds)],
-                [b - min(0, _times(t, mu)) for b, (mu, _) in zip(bhi, bounds)])):
+        if box is not None and not (window := reach(i_max - i)):
             break
         pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
         if not pw:
@@ -129,6 +150,93 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
         return Series(f.ambient, coeffs, None, None)
     # power_exhaustion_bound has classified every element as positive
     return Series(f.ambient, coeffs, box.shift(shift), Cone(shift, tuple(elems)))
+
+
+def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
+    """The packed points other than ``origin`` that lie on a path of at
+    most i_max ``steps`` from ``origin`` into the box, whose window
+    ``inbox`` is ``reach(0)``; unordered.
+
+    Walked forward level by level, a point first met after j steps is kept
+    if it lies in ``reach(i_max - j)``: a path into the box passes there
+    after j steps, and a point met first at a lower level lies in a wider
+    window.  Each sum tested is a kept point plus one key, so the masked
+    compares test it exactly, as in ``_pair_loop``.  Then, unless
+    every point met is in the box, walked back from the box through the
+    points met; ``s - y`` of a packed s is packed again only if the
+    difference lies in the packing box."""
+    seen = {origin}
+    level = [origin]
+    for t in range(i_max - 1, -1, -1):
+        if not level or not (window := reach(t) if t else inbox):
+            break
+        low, high = window[:2]
+        nxt = []
+        for x in level:
+            for y in steps:
+                z = x + y
+                if (z + low) & guard == guard and (high - z) & guard == guard \
+                        and z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        level = nxt
+    low, high = inbox[:2]
+    need = [s for s in seen if (s + low) & guard == guard and (high - s) & guard == guard]
+    if len(need) < len(seen):
+        rest = seen.difference(need)
+        for s in need:  # need grows as it is walked
+            for y in steps:
+                if (q := s - y) in rest:
+                    rest.remove(q)
+                    need.append(q)
+    return [s for s in need if s != origin]
+
+
+def _invert_exact(tail: Series, box, scale, shift) -> Series:
+    """scale * e^shift * (1 + tail)^-1 in ``box`` for an exact tail, by the
+    division recurrence r_0 = 1, r_p = -sum_t tail_t r_(p-t): each point's
+    value is formed once, from the values of the points below it.
+
+    ``_reach_setup`` gives i_max and the packing as for ``_sum_powers``, and
+    ``_domain`` the points on a path of at most i_max keys of the tail from
+    0 into the box.  Every predecessor of such a point that carries a value
+    is on such a path too, so the recurrence, run over them in an order in
+    which every key steps upward (the term order, or packed order where
+    every key packs positive), forms every value exactly, and the result is
+    the binomial sum's, term for term.
+    """
+    fld = tail.field
+    order = tail.order
+    i_max, box, elems, pk, reach = _reach_setup(tail, box, math.inf)
+    cone = Cone(shift, tuple(elems))
+    if not (inbox := reach(0)):  # the box misses the packing box
+        return Series(tail.ambient, {}, box.shift(shift), cone)
+    origin = pk.pack(zero_exp(order.k))
+    steps = [(pk.step(g), c) for g, c in tail.coeffs.items()]
+    guard = pk.guard
+    domain = _domain(origin, [y for y, _ in steps], reach, inbox, i_max, guard)
+    if all(y > 0 for y, _ in steps):  # every key then steps up in packed order
+        domain.sort()
+    else:
+        domain.sort(key=lambda s: order.key(pk.unpack(s)))
+    p = fld.characteristic
+    r = {origin: 1}
+    get = r.get
+    for s in domain:
+        v = 0
+        for y, c in steps:
+            if q := get(s - y):
+                v -= c * q
+        if p:
+            v %= p
+        if v:
+            r[s] = v
+    low, high = inbox[:2]
+    coeffs = {s: scale * v for s, v in r.items()
+              if (s + low) & guard == guard and (high - s) & guard == guard}
+    pk.lo = exp_add(pk.lo, shift)
+    coeffs = {pk.unpack(s): c for s, c in fld.reduce(coeffs).items()}
+    return Series(tail.ambient, coeffs, box.shift(shift), cone)
 
 
 def substitute(c, f: Series, target_box=None) -> Series:
@@ -175,6 +283,15 @@ def power(f: Series, k: int, target_box=None) -> Series:
     exact whatever target box is passed; for k < 0 it is exact in the target
     box cut where the tail is not stored.  A monomial gives one monomial.
 
+    The inverse (k = -1) of an f with an exact tail is the same series,
+    formed by the division recurrence of ``_invert_exact``, one value per
+    point instead of one per power of the tail that reaches it.  A truncated
+    tail keeps the binomial sum, whose box ``_stored_cut`` cuts to where the
+    tail is stored, and so does k < -1: dividing by the exact (1 + tail)^-k
+    made a seed-1 jacobi-recovery pass about 15 % slower (best of 12 in
+    each of three runs: 0.113-0.128 s, against 0.134-0.192 s).  The
+    coefficient sums of ``substitute`` and ``log1p`` have no such recurrence.
+
     Repeated ``mul``, each product certified by ``_product_box``, remains
     for a nonnegative power of a truncated f, and of an exact f with
     k * #f <= 20, where the kernel's set-up (about 50 us) lost to it up to
@@ -193,6 +310,8 @@ def power(f: Series, k: int, target_box=None) -> Series:
     # binom(k, i) = binom(k, i - 1) (k - i + 1) / i, an exact division
     binoms = accumulate(count(1), lambda b, i: b * (k - i + 1) // i, initial=1)
     box = None if k >= 0 else target_box.shift(exp_neg(kg))
+    if k == -1 and tail.box is None:
+        return _invert_exact(tail, box, ak, kg)
     return _sum_powers(binoms, tail, box, k if k >= 0 else math.inf, ak, kg)
 
 

@@ -433,9 +433,9 @@ def factorize(f: Series):
         if cone is None:
             raise LeadingTermUncertain("no cone certificate")
         cone = certify_cone_below(order, cone, g, f.box)
-        if cone is None:
-            raise LeadingTermUncertain(
-                "box cannot certify that the least stored term is the leading term")
+        if not cone:
+            raise LeadingTermUncertain("box cannot certify that the least stored "
+                                       f"term is the leading term: {cone.reason}")
     a = f.coeffs[g]
     fld = f.field
     ainv = fld.inv(a)

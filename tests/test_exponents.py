@@ -216,9 +216,11 @@ def test_certify_cone_below():
     assert all(G1.is_positive(g) for g in above.generators)
     # the old bounds, cut to the hull of the new offset and generators
     assert above.bounds == ((0, math.inf), (0, 0))
-    # generator escapes the box while still below the bound
+    # generator escapes the box while still below the bound: the refusal
+    # tests false and names the point that escaped
     c2 = Cone((0, 0), ((0, 1),))
-    assert certify_cone_below(G1, c2, (2, 0), Box((0, 0), (0, 0))) is None
+    refusal = certify_cone_below(G1, c2, (2, 0), Box((0, 0), (0, 0)))
+    assert not refusal and refusal.escape == (0, 1)
 
 
 def test_order_string_round_trip():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box, identities
+from gpseries import Box, identities, powers
 from gpseries.errors import BadDimension
 from gpseries.identities import (
     DysonInstance,
@@ -129,14 +129,51 @@ def test_methods_agree():
 
 
 def test_egorychev_matches_multinomial():
-    # every a in {0..4}^3, the benchmark's stratum, and two instances at
+    # every a in {0..4}^3, the benchmark's stratum, and three instances at
     # n = 4, where the inversion of the denominator takes most of the time
-    for a in [*itertools.product(range(5), repeat=3), (1, 1, 1, 1), (2, 1, 1, 1)]:
+    for a in [*itertools.product(range(5), repeat=3), (1, 1, 1, 1), (2, 1, 1, 1),
+              (2, 2, 1, 1)]:
         expect = math.factorial(sum(a))
         for x in a:
             expect //= math.factorial(x)
         assert dyson_verify(DysonInstance(a), "egorychev") == (
             expect, expect, True)
+
+
+def test_egorychev_inversion_forms_each_point_once(monkeypatch):
+    """At a = (4,4,4) the denominator's inverse has 81 terms in the
+    inversion box, where the binomial sum formed 626 terms of powers of the
+    tail to find them.  The division recurrence forms one value per point
+    of its domain, each point once, and calls no binomial sum."""
+    real_invert, real_domain = identities.invert, powers._domain
+    real_sum = powers._sum_powers
+    seen = {"inside": False, "sums": 0, "domains": [], "inverses": []}
+
+    def invert(f, box):
+        seen["inside"] = True
+        try:
+            seen["inverses"].append(real_invert(f, box))
+        finally:
+            seen["inside"] = False
+        return seen["inverses"][-1]
+
+    def domain(*args):
+        seen["domains"].append(real_domain(*args))
+        return seen["domains"][-1]
+
+    def sum_powers(*args):
+        seen["sums"] += seen["inside"]
+        return real_sum(*args)
+
+    monkeypatch.setattr(identities, "invert", invert)
+    monkeypatch.setattr(powers, "_domain", domain)
+    monkeypatch.setattr(powers, "_sum_powers", sum_powers)
+    assert dyson_verify(DysonInstance((4, 4, 4)), "egorychev") == (34650, 34650, True)
+    [inverse], [points] = seen["inverses"], seen["domains"]
+    assert seen["sums"] == 0
+    assert len(inverse.coeffs) == 81
+    # the origin's value 1 is given, every other point is formed once
+    assert len(set(points)) == len(points) <= 80
 
 
 def test_numerator_extents_are_total_times_delta_extents():

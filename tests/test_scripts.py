@@ -38,3 +38,20 @@ def test_package_runs_as_module():
     out = _run("-m", "gpseries", "dyson", "--a", "1,1,1")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "lhs=6 rhs=6 equal=true\n"
+
+
+def test_answer_digest_repeats():
+    """Two runs, under different string hash seeds, print the same digest
+    of every jacobi-recovery answer of seed 1."""
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "answer_digest.py"),
+             "--workload", "jacobi-recovery", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    name, seed, digest = outs[0].split()
+    assert (name, seed, len(digest)) == ("jacobi-recovery", "seed=1", 64)
+    assert outs[0] == outs[1]

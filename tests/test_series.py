@@ -3,9 +3,10 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpseries import (
@@ -23,11 +24,15 @@ from gpseries import (
     PositiveCharacteristic,
     PrimeField,
     QQ,
+    TermOrder,
     ZeroSeries,
+    lex_order,
     make_cone,
     parse_order,
+    validate_order,
 )
-from gpseries import identities, series
+from gpseries import exponents, identities, series
+from gpseries.exponents import exp_neg
 from gpseries.powers import _sum_powers
 from gpseries.series import (
     _mul_chain,
@@ -45,7 +50,7 @@ from gpseries.series import (
     truncate,
 )
 
-from conftest import make_ambient, random_polynomial, random_unit_series
+from conftest import make_ambient, random_polynomial, random_unit_series, random_unimodular
 
 G1 = parse_order("1,0;0,1")
 G2 = parse_order("0,1;1,0")
@@ -314,6 +319,27 @@ def test_json_round_trip_exact_and_truncated():
         series_from_json(data)
 
 
+def test_uncertain_leading_term_names_its_cause(monkeypatch):
+    """factorize's refusal says why the box could not certify: the cone
+    point that escapes it below the least stored term, or the walk's
+    budget."""
+    amb = make_ambient(1)
+    f = amb.series({(0,): 1}, Box((0,), (5,)), make_cone(amb.order, (-1,), [(1,)]))
+    with pytest.raises(LeadingTermUncertain, match=(
+            r"^box cannot certify that the least stored term is the leading "
+            r"term: cone point \(-1,\) lies below it and outside the box$")):
+        factorize(f)
+    # every cone point below (1, 0) lies in the box, but there are 10^6
+    monkeypatch.setattr(exponents, "_CERTIFY_BUDGET", 1000)
+    amb2 = make_ambient(2)
+    g = amb2.series({(1, 0): 1}, Box((0, 0), (1, 10 ** 6)),
+                    make_cone(amb2.order, (0, 0), [(0, 1), (1, 0)]))
+    with pytest.raises(LeadingTermUncertain, match=(
+            r"^box cannot certify that the least stored term is the leading "
+            r"term: the walk gave up after 1,000 cone points$")):
+        factorize(g)
+
+
 def test_uncertified_summand_leaves_sum_uncertified():
     amb = make_ambient(1)
     X = amb.var(1)
@@ -400,6 +426,48 @@ def test_exact_power_is_repeated_product(inputs):
                     amb.field.power(a, k), tuple(k * v for v in g))
     assert p.box is None and p.coeffs == expected.coeffs
     _assert_canonical(amb.field, p.coeffs)
+
+
+@st.composite
+def _inverse_inputs(draw):
+    """Over Q or F_5, in 1-3 coordinates, under lex, reversed lex or a
+    random unimodular order: an exact f of two or more terms and a box that
+    holds the leading exponent of its inverse, cuts past it or misses it."""
+    k = draw(st.integers(1, 3))
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    order = draw(st.sampled_from([
+        lex_order(k), TermOrder(lex_order(k).matrix[::-1]),
+        validate_order(random_unimodular(random.Random(draw(st.integers(0, 99))), k))]))
+    amb = Ambient(GroupSplit(0, k), order, fld)
+    scalar = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+    f = amb.series(draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * k),
+                                        scalar, min_size=2, max_size=5)))
+    lead = order.min(f.coeffs) if f.coeffs else (0,) * k
+    far = draw(st.sampled_from([0, 0, 0, 12, -12]))
+    lo = tuple(-v + far + draw(st.integers(-3, 1)) for v in lead)
+    return amb, f, Box(lo, tuple(v + draw(st.integers(0, 5)) for v in lo))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inverse_inputs())
+def test_inverse_by_recurrence_is_the_binomial_sum(inputs):
+    """power(f, -1, box) of an exact f, formed by the division recurrence,
+    is the series the binomial sum a^-1 e^-g sum_i (-tail)^i gives:
+    coefficients, box and cone; and f times it is 1 on the certified box."""
+    amb, f, box = inputs
+    assume(len(f.coeffs) > 1)  # zero coefficients may leave one term or none
+    inv = power(f, -1, box)
+    a, g, tail = factorize(f)
+    ref = _sum_powers(map(lambda i: (-1) ** i, count()), tail, box.shift(g),
+                      math.inf, amb.field.power(a, -1), exp_neg(g))
+    assert inv.coeffs == ref.coeffs
+    assert inv.box == ref.box == box and inv.cone == ref.cone
+    _assert_canonical(amb.field, inv.coeffs)
+    try:
+        prod = mul(f, invert(f, box))
+    except BoxUnderflow:  # f and its inverse reach past each other's ends
+        return
+    assert prod.eq_within(amb.one())
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "f10007"])
