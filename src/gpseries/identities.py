@@ -6,8 +6,10 @@ still to come can carry to the constant term, Wilson's route through the
 parameters (X_1, Phi_2, ..., Phi_n) with Phi_i the inverted products
 prod_{j != i} (1 - X_i/X_j), and the Egorychev route through the
 alternants Upsilon_i.  The Egorychev route reads its one coefficient
-through a chain of products aimed at exponent 0, so its numerator
-(sum Upsilon)^|a| is never formed; only the denominator is inverted.
+as the Jacobi extraction of ``residues`` reads its slab, by
+``_read_quotient``: the denominator is inverted once and carried to
+exponent 0 by a chain of products, so its numerator (sum Upsilon)^|a| is
+never formed.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .exponents import (
     lex_order,
     zero_exp,
 )
-from .residues import ParameterSystem, check_parameters
-from .series import (Ambient, Series, _extents, _mul_chain, add, invert,
-                     mul, power)
+from .residues import ParameterSystem, _read_quotient, check_parameters
+from .series import Ambient, Series, add, invert, mul, power
 from .fields import QQ
 
 
@@ -261,30 +262,18 @@ def egorychev_wedge_check(n: int) -> bool:
 
 def _egorychev_lhs(inst: DysonInstance):
     """Constant term of Psi(Upsilon) = Delta^|a| / prod Upsilon_i^(a_i),
-    with Delta = sum Upsilon and |a| = sum a, from one certified inversion.
-
-    The numerator Delta^|a| is never formed: one ``_mul_chain`` multiplies
-    the inverted denominator by Delta |a| times, each partial product cut
-    to the points the copies of Delta still to come can carry to 0.  The
-    inversion box is the negated hull of the numerator, |a| times the key
-    extents of Delta: in each coordinate the extreme face of Delta^k is the
-    k-th power of the extreme face of Delta, which is nonzero."""
-    n = inst.n
-    ambient = _egorychev_ambient(n)
-    ups = [_upsilon(ambient, i) for i in range(1, n + 1)]
-    total = sum(inst.a)
+    with Delta = sum Upsilon and |a| = sum a, read at exponent 0 by
+    ``_read_quotient``: the denominator is inverted once, and the
+    numerator Delta^|a| is never formed, but enters the chain as |a|
+    copies of Delta."""
+    ambient = _egorychev_ambient(inst.n)
+    ups = [_upsilon(ambient, i) for i in range(1, inst.n + 1)]
     s = ambient.zero()
     for u in ups:
         s = add(s, u)
-    denom = ambient.one()
-    for u, ai in zip(ups, inst.a):
-        denom = mul(denom, u ** ai)
-    k = ambient.k
-    ext = _extents(s)
-    box = Box(tuple(-total * b for _, b in ext), tuple(-total * a for a, _ in ext))
-    at_zero = Box(zero_exp(k), zero_exp(k))
-    return _mul_chain((invert(denom, box),) + (s,) * total, at_zero
-                      ).coefficient_at(zero_exp(k))
+    zero = zero_exp(ambient.k)
+    return _read_quotient((s,) * sum(inst.a), [u ** ai for u, ai in zip(ups, inst.a)],
+                          Box(zero, zero)).coefficient_at(zero)
 
 
 def dyson_verify(inst: DysonInstance, method: str = "direct"):

@@ -4,24 +4,25 @@ A system of parameters is n series whose multiplicity matrix (the variable
 parts of their leading exponents) has determinant nonzero in the field.
 Residues of fractions over such systems are computed by normalizing the
 denominator to the ambient variables; Jacobi-style extraction then reads
-off coefficients of a series with respect to the parameters.
+off coefficients of a series with respect to the parameters.  Each such
+read is one quotient, ``_read_quotient``: the product of the denominators
+is inverted once, in the box that the numerators' extents leave, and one
+chain of products carries it and the numerators into the box read.  The
+Egorychev route of ``identities`` reads its constant term the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
 from .errors import (
-    BoxUnderflow,
     DimensionMismatch,
     IncompatibleAmbient,
     NotParameters,
     NotRegular,
-    OutsideBox,
 )
 from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
 from .series import (
@@ -35,6 +36,7 @@ from .series import (
     factorize,
     h_box,
     h_coefficient_at,
+    invert,
     mul,
     power,
     series_from_json,
@@ -118,9 +120,9 @@ def residue(fr: GeneralizedFraction) -> Series:
     return h_coefficient_at(coeff, zero_exp(fr.ambient.split.n))
 
 
-def _default_working_box(p: ParameterSystem, idx, scale=1) -> Box:
-    """Symmetric box sized from the member supports and requested index,
-    grown quadratically in ``scale`` for each retry."""
+def _default_working_box(p: ParameterSystem, idx) -> Box:
+    """Symmetric box sized from the member supports and requested index;
+    only its H coordinates bound the read."""
     k = p.ambient.k
     reach = 0
     for (a, g, tail), i in zip(p.leading, idx):
@@ -128,72 +130,56 @@ def _default_working_box(p: ParameterSystem, idx, scale=1) -> Box:
         for e in tail.coeffs:
             span = max(span, max((abs(v) for v in e), default=0))
         reach += (abs(i) + 1) * (span + 1)
-    r = scale * (2 * scale + reach)
+    r = 2 + reach
     return Box((-r,) * k, (r,) * k)
 
 
 def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
                        working_box=None) -> Series:
     """H-coefficient of psi at Phi^idx, extracted as the residue of
-    psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters."""
+    psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters
+    by one ``_read_quotient``, with no retry.  The working box bounds only
+    the H coordinates of the read; the variable coordinates are pinned to
+    the X^-1 slab that the residue reads."""
     idx = tuple(idx)
     if len(idx) != p.n:
         raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
     _check_box(p.ambient, working_box)
-    psi_j = mul(psi, jacobian(p.members))  # the same in every working box
-    if working_box is not None:
-        return _jacobi_in_box(psi_j, p, idx, working_box)
-    # the certified box of the product shrinks with each multiplication,
-    # so retry with a larger working box if the zero slice falls out
-    last = None
-    for scale in (1, 2, 4, 8):
-        try:
-            box = _default_working_box(p, idx, scale)
-            return _jacobi_in_box(psi_j, p, idx, box)
-        except (OutsideBox, BoxUnderflow) as exc:
-            last = exc
-    raise last
+    if working_box is None:
+        working_box = _default_working_box(p, idx)
+    return _jacobi_in_box(mul(psi, jacobian(p.members)), p, idx, working_box)
+
+
+def _read_quotient(nums, dens, box) -> Series:
+    """prod nums / prod dens, known in ``box``.  The product of ``dens``
+    is inverted once, in ``box`` less the summed extents of ``nums``, which
+    holds every point of the inverse that the numerators can carry into
+    ``box``; one ``_mul_chain`` then multiplies the inverse by ``nums`` in
+    turn, aimed at ``box`` unless every factor is exact, so that an exact
+    quotient stays exact everywhere."""
+    factors = list(nums)
+    if dens:
+        lo, hi = list(box.lo), list(box.hi)
+        for h in nums:
+            for c, (a, b) in enumerate(_extents(h)):
+                lo[c] -= b
+                hi[c] -= a
+        factors.insert(0, invert(reduce(mul, dens), Box(tuple(lo), tuple(hi))))
+    exact = all(f.box is None for f in factors)
+    return _mul_chain(factors, None if exact else box)
 
 
 def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
                    working_box: Box) -> Series:
     """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
-    numerator is psi J(Phi) prod Phi_l^-(i_l+1), of which the residue reads
-    only the X^-1 slab: one ``_mul_chain`` forms each partial product only
-    where the factors still to come can carry it there.  ``num`` is
-    psi J(Phi).
-
-    Each power is computed by ``power`` only in the part of the working
-    box that the other factors can carry into the slab: in each variable
-    coordinate, the slab less num's extents and the other powers' support
-    hulls.  The hull of Phi_l^k is k g plus the hull of 0 and the tail's
-    support bounds, so it is infinite on a side where the tail reaches.
-    The power's box stays a certificate, and a smaller box lowers the
-    ``power_exhaustion_bound`` of its sum.  Where the cut is empty in some
-    coordinate the power keeps the working box."""
-    m, k = p.ambient.split.m, p.ambient.k
-    hulls = []  # per member, per coordinate, the hull of its power's support
-    for (a, g, tail), i in zip(p.leading, idx):
-        bounds = _extents(tail) if tail.box is None else tail.cone.bounds
-        hulls.append([(-(i + 1) * v if mu >= 0 else -math.inf,
-                       -(i + 1) * v if nu <= 0 else math.inf)
-                      for v, (mu, nu) in zip(g, bounds)])
-    ext = _extents(num)
-    factors = [num]
-    for l, (f, i) in enumerate(zip(p.members, idx)):
-        others = hulls[:l] + hulls[l + 1:]
-        lo, hi = list(working_box.lo), list(working_box.hi)
-        for c in range(m, k):
-            lo[c] = max(lo[c], -1 - ext[c][1] - sum(h[c][1] for h in others))
-            hi[c] = min(hi[c], -1 - ext[c][0] - sum(h[c][0] for h in others))
-        if any(map(operator.gt, lo, hi)):  # nothing reaches: no cut
-            lo, hi = working_box.lo, working_box.hi
-        factors.append(power(f, -i - 1, Box(tuple(lo), tuple(hi))))
-    # an exact chain is exact everywhere, and so is the answer; otherwise
-    # the slab's H coordinates are cut to the certified product box
-    slab = None if all(f.box is None for f in factors) else Box(
-        (-math.inf,) * m + (-1,) * p.n, (math.inf,) * m + (-1,) * p.n)
-    return residue(GeneralizedFraction(NForm(_mul_chain(factors, slab)), p))
+    residue reads the X^-1 slab, over the working box's H range, of the
+    quotient of ``num`` = psi J(Phi) and the members' powers
+    Phi_l^-(i_l+1) with i_l <= -2 by those Phi_l^(i_l+1) with i_l >= 0."""
+    m, n = p.ambient.split.m, p.n
+    nums = [num] + [power(f, -i - 1) for f, i in zip(p.members, idx) if i < -1]
+    dens = [power(f, i + 1) for f, i in zip(p.members, idx) if i >= 0]
+    slab = Box(working_box.lo[:m] + (-1,) * n, working_box.hi[:m] + (-1,) * n)
+    return residue(GeneralizedFraction(NForm(_read_quotient(nums, dens, slab)), p))
 
 
 def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:

@@ -2,10 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from gpseries import Box, identities, powers
+from gpseries import Box, identities, powers, residues
 from gpseries.errors import BadDimension
 from gpseries.identities import (
     DysonInstance,
@@ -20,8 +21,8 @@ from gpseries.identities import (
     wilson_parameters,
     wilson_wedge_check,
 )
-from gpseries.residues import is_regular
-from gpseries.series import _extents, add, mul
+from gpseries.residues import is_regular, jacobi_coefficient
+from gpseries.series import _extents, add, mul, power
 
 # frozen oracle: constant terms of prod_{i != j} (1 - X_i/X_j)^{a_i},
 # brute-forced by expanding the rational function symbolically
@@ -145,7 +146,7 @@ def test_egorychev_inversion_forms_each_point_once(monkeypatch):
     inversion box, where the binomial sum formed 626 terms of powers of the
     tail to find them.  The division recurrence forms one value per point
     of its domain, each point once, and calls no binomial sum."""
-    real_invert, real_domain = identities.invert, powers._domain
+    real_invert, real_domain = residues.invert, powers._domain
     real_sum = powers._sum_powers
     seen = {"inside": False, "sums": 0, "domains": [], "inverses": []}
 
@@ -165,7 +166,7 @@ def test_egorychev_inversion_forms_each_point_once(monkeypatch):
         seen["sums"] += seen["inside"]
         return real_sum(*args)
 
-    monkeypatch.setattr(identities, "invert", invert)
+    monkeypatch.setattr(residues, "invert", invert)  # _read_quotient's inverse
     monkeypatch.setattr(powers, "_domain", domain)
     monkeypatch.setattr(powers, "_sum_powers", sum_powers)
     assert dyson_verify(DysonInstance((4, 4, 4)), "egorychev") == (34650, 34650, True)
@@ -174,6 +175,21 @@ def test_egorychev_inversion_forms_each_point_once(monkeypatch):
     assert len(inverse.coeffs) == 81
     # the origin's value 1 is given, every other point is formed once
     assert len(set(points)) == len(points) <= 80
+
+
+def test_egorychev_through_jacobi_coefficient():
+    """The paper's own route at n = 3: the constant term is the coefficient
+    of Delta^|a| at Upsilon^a, Delta = sum Upsilon, one generic
+    jacobi_coefficient call.  Its residue divides by the multiplicity
+    determinant, so the multinomials check the scale too."""
+    p = egorychev_parameters(3)
+    delta = reduce(add, p.members)
+    for a in [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1)]:
+        expect = math.factorial(sum(a))
+        for x in a:
+            expect //= math.factorial(x)
+        got = jacobi_coefficient(power(delta, sum(a)), p, a)
+        assert got.coeffs == {(0, 0, 0): expect}, a
 
 
 def test_numerator_extents_are_total_times_delta_extents():

@@ -292,6 +292,13 @@ def _full_chain(psi, p, idx, box):
     return residue(GeneralizedFraction(NForm(num), p))
 
 
+def _full_box(p, idx):
+    """A working box that certifies the whole chain of ``_full_chain``:
+    the default one doubled and grown by 4 on each side."""
+    box = _default_working_box(p, idx)
+    return Box(tuple(2 * v - 4 for v in box.lo), tuple(2 * v + 4 for v in box.hi))
+
+
 def _h_systems(amb):
     """The m = 1 system of test_represent_round_trip_with_h_part, and one
     whose coefficients have infinite H-support, so that a box wider than
@@ -352,7 +359,7 @@ def test_jacobi_slab_agrees_with_full_chain(field):
     for psi, p, idxs in _slab_cases(field):
         for idx in idxs:
             got = jacobi_coefficient(psi, p, idx)
-            box = _default_working_box(p, idx, 2)
+            box = _full_box(p, idx)
             full = _full_chain(psi, p, idx, box)
             assert box_intersect(got.box, full.box) is not None
             assert got.eq_within(full), (p.det, idx)
@@ -364,10 +371,11 @@ def test_jacobi_slab_agrees_with_full_chain(field):
 
 
 def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
-    """Every truncated partial product of the Jacobi chain holds only terms
-    that the factors still to come can carry into the X^-1 slab, and that
-    cut leaves the certified boxes alone: the first working box serves
-    every call, as it did when each product was formed whole."""
+    """Every partial product of the Jacobi chain holds only terms that the
+    factors still to come can carry into the X^-1 slab, and that cut
+    leaves the certified boxes alone: the first working box serves every
+    call.  A negative first index puts a positive member power into the
+    numerators, so the chain has a partial product to cut."""
     steps, attempts, chains = [], [], []
     convolve, pair_loop = series._convolve, series._pair_loop
     in_box, mul_chain = residues._jacobi_in_box, residues._mul_chain
@@ -407,71 +415,76 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
     for field in (QQ, PrimeField(5)):
         for psi, p, idxs in _slab_cases(field):
             m, k = p.ambient.split.m, p.ambient.k
+            if p.n > 1:
+                idxs = idxs + [(-i - 2, *rest) for i, *rest in idxs]
             for idx in idxs:
                 jacobi_coefficient(psi, p, idx)
                 calls += 1
                 factors, formed = chains[-1]
-                assert len(formed) == p.n
+                # the inverse, psi J(Phi), then Phi_l^-(i_l+1) for i_l <= -2
+                assert len(formed) == len(factors) - 1 == 1 + (idx[0] < -1)
                 for j, (pk, out) in enumerate(formed[:-1]):
-                    if pk is None:
-                        continue  # exact: formed whole, as its keys certify
+                    assert pk is not None  # the inverse is truncated
                     cut += 1
-                    # step j multiplies in factors[j + 1]; an aimed power
-                    # may store nothing, and reads as 0, as in _mul_chain
-                    later = [h.coeffs or [(0,) * k] for h in factors[j + 2:]]
+                    # step j multiplies in factors[j + 1]
+                    later = [h.coeffs for h in factors[j + 2:]]
                     for c in range(m, k):
                         lo = -1 - sum(max(g[c] for g in b) for b in later)
                         hi = -1 - sum(min(g[c] for g in b) for b in later)
                         assert all(lo <= pk.unpack(s)[c] <= hi for s in out), (idx, j)
     assert len(attempts) == calls
-    assert cut == 40  # per field: 12 calls with n = 2, 4 with n = 3
+    assert cut == 32  # per field: 12 calls with n = 2, 4 with n = 3
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
 def test_aimed_powers_hold_every_term_that_reaches_the_slab(field, monkeypatch):
-    """Each member power of the chain is computed only in the part of the
-    working box that the other factors can carry into the X^-1 slab.  There
-    it agrees with the same power over the whole working box, and it holds
-    every term of that power which stored terms of the other factors can
-    carry into the slab."""
+    """The chain's one inverse, of prod Phi_l^(i_l+1), is computed only in
+    the slab less the numerators' extents.  There it agrees with the same
+    inverse over the whole working box, and it holds every term of that
+    inverse which stored terms of the numerators can carry into the slab."""
     calls = []
-    in_box, full_power = residues._jacobi_in_box, residues.power
+    in_box, full_invert = residues._jacobi_in_box, residues.invert
+    chain = residues._mul_chain
 
     def recording(num, p, idx, working_box):
-        calls.append((num, working_box, []))
+        calls.append((working_box, [], []))
         return in_box(num, p, idx, working_box)
 
-    def aimed(f, k, box):
-        out = full_power(f, k, box)
-        calls[-1][2].append((f, k, box, out))
+    def aimed(f, box):
+        out = full_invert(f, box)
+        calls[-1][1].append((f, box, out))
         return out
 
+    def numerators(factors, box):
+        calls[-1][2].append(factors[1:])  # the factors after the inverse
+        return chain(factors, box)
+
     monkeypatch.setattr(residues, "_jacobi_in_box", recording)
-    monkeypatch.setattr(residues, "power", aimed)
-    aimed_terms = full_terms = 0
+    monkeypatch.setattr(residues, "invert", aimed)
+    monkeypatch.setattr(residues, "_mul_chain", numerators)
+    aimed_terms = full_terms = reached = 0
     for psi, p, idxs in _slab_cases(field):
         m, k = p.ambient.split.m, p.ambient.k
         for idx in idxs:
             calls.clear()
             jacobi_coefficient(psi, p, idx)
-            (num, working_box, powers), = calls  # one working-box attempt
-            full = [full_power(f, e, working_box) for f, e, _, _ in powers]
-            for l, (f, e, box, out) in enumerate(powers):
-                assert working_box.contains_box(box)
-                assert all(map(box.contains, out.coeffs)), (idx, l)
-                assert out.eq_within(full[l])
-                others = [num.coeffs] + [h.coeffs for j, h in enumerate(full) if j != l]
-                if not all(others):
-                    continue  # an empty factor carries nothing into the slab
-                for g, c in full[l].coeffs.items():
-                    if all(-1 - sum(max(h[c2] for h in b) for b in others) <= g[c2]
-                           <= -1 - sum(min(h[c2] for h in b) for b in others)
-                           for c2 in range(m, k)):
-                        assert out.coefficient_at(g) == c, (idx, l, g)
-            aimed_terms += sum(len(out.coeffs) for *_, out in powers)
-            full_terms += sum(len(h.coeffs) for h in full)
-    # the aimed powers store about an eighth of what the working box holds
-    assert (aimed_terms, full_terms) == {0: (93, 819), 5: (61, 506)}[
+            # one working-box attempt, one inverse, one chain
+            (working_box, [(f, box, out)], [nums]), = calls
+            full = full_invert(f, working_box)
+            assert all(map(box.contains, out.coeffs)), idx
+            assert out.eq_within(full)
+            for g, c in full.coeffs.items():
+                if all(-1 - sum(max(h[c2] for h in b.coeffs) for b in nums) <= g[c2]
+                       <= -1 - sum(min(h[c2] for h in b.coeffs) for b in nums)
+                       for c2 in range(m, k)):
+                    assert out.coefficient_at(g) == c, (idx, g)
+                    reached += 1
+            aimed_terms += len(out.coeffs)
+            full_terms += len(full.coeffs)
+    # the aimed inverses store no other terms: about a thirtieth of what
+    # the working box holds
+    assert reached == aimed_terms
+    assert (aimed_terms, full_terms) == {0: (78, 2463), 5: (46, 1668)}[
         field.characteristic]
 
 
@@ -519,7 +532,7 @@ def test_aimed_powers_on_other_shapes(field, monkeypatch):
             assert len(attempts) == 1
             if psi is sum_psi:
                 assert got.coefficient_at((0, 0)) == field.coerce(planted.get(idx, 0))
-            box = _default_working_box(p, idx, 2)
+            box = _full_box(p, idx)
             assert got.eq_within(_full_chain(psi, p, idx, box)), idx
             wide = jacobi_coefficient(psi, p, idx, Box(
                 tuple(2 * v for v in box.lo), tuple(2 * v for v in box.hi)))
@@ -527,24 +540,39 @@ def test_aimed_powers_on_other_shapes(field, monkeypatch):
 
 
 def test_jacobi_reach_that_misses_the_working_box(monkeypatch):
-    """Where psi J(Phi) lies beyond what the other factors can carry into
-    the slab, the reach of a power misses the working box; that power keeps
-    the working box, and the coefficient is 0, certified at the origin."""
+    """Where psi J(Phi) lies beyond what the inverse can carry into the
+    slab, the inverse's box misses its support, so it stores nothing and
+    the coefficient is 0, certified at the origin, in one working-box
+    attempt."""
     amb = make_ambient(2)
     x1, x2, one = amb.var(1), amb.var(2), amb.one()
     p = check_parameters([mul(x1, one + x2), mul(x2, one + x1)])
-    boxes = []
-    in_box, full_power = residues._jacobi_in_box, residues.power
-    monkeypatch.setattr(residues, "_jacobi_in_box", lambda num, p, idx, box: (
-        boxes.append(box) or in_box(num, p, idx, box)))
-    monkeypatch.setattr(residues, "power", lambda f, k, box: (
-        boxes.append(box) or full_power(f, k, box)))
+    attempts, inverses = [], []
+    in_box, full_invert = residues._jacobi_in_box, residues.invert
+    monkeypatch.setattr(residues, "_jacobi_in_box", lambda *args: (
+        attempts.append(1) or in_box(*args)))
+    monkeypatch.setattr(residues, "invert", lambda f, box: (
+        inverses.append(full_invert(f, box)) or inverses[-1]))
     for psi in (amb.monomial(1, (50, 0)), amb.monomial(1, (-50, 3))):
+        attempts.clear()
         got = jacobi_coefficient(psi, p, (0, 0))
         assert got.coeffs == {} and got.box == Box((0, 0), (0, 0))
-    # X1^50: neither power can reach the slab from the first working box
-    assert boxes[:3] == [_default_working_box(p, (0, 0))] * 3
+        assert len(attempts) == 1 and inverses[-1].coeffs == {}
     got = jacobi_coefficient(one + amb.monomial(1, (40, 40)), p, (0, 0))
+    assert got.coeffs == {(0, 0): 1} and got.box == Box((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_jacobi_members_unbounded_opposite_ways(field):
+    """Phi_1 = X1 (1 + X1 X2^-1) and Phi_2 = X2 (1 + X1 + X2) have powers
+    unbounded below and above in X2, so the product of their truncated
+    inverses has no certified box; the inverse of the exact product
+    Phi_1 Phi_2 has one, and the coefficient of 1 at Phi^0 is 1."""
+    amb = make_ambient(2, field=field)
+    x1, x2, one = amb.var(1), amb.var(2), amb.one()
+    p = check_parameters([mul(x1, one + amb.monomial(1, (1, -1))),
+                          mul(x2, one + x1 + x2)])
+    got = jacobi_coefficient(one, p, (0, 0))
     assert got.coeffs == {(0, 0): 1} and got.box == Box((0, 0), (0, 0))
 
 

@@ -31,7 +31,7 @@ from gpseries import (
     parse_order,
     validate_order,
 )
-from gpseries import exponents, identities, series
+from gpseries import exponents, identities, residues, series
 from gpseries.exponents import exp_neg
 from gpseries.powers import _sum_powers
 from gpseries.series import (
@@ -632,7 +632,7 @@ def test_one_packing_per_chain(monkeypatch):
     made.clear()
     assert mul(g, g).coeffs and not made
     # Egorychev at (1,1,1,1): the inverted denominator, then Delta 4 times
-    chain, counts = identities._mul_chain, []
+    chain, counts = residues._mul_chain, []
 
     def counted(factors, box):
         made.clear()
@@ -640,7 +640,7 @@ def test_one_packing_per_chain(monkeypatch):
         counts.append((len(factors), len(made)))
         return out
 
-    monkeypatch.setattr(identities, "_mul_chain", counted)
+    monkeypatch.setattr(residues, "_mul_chain", counted)  # _read_quotient's chain
     assert identities._egorychev_lhs(identities.DysonInstance((1, 1, 1, 1))) == 24
     assert counts == [(5, 1)]
 
