@@ -263,11 +263,13 @@ def cone_union(order: TermOrder, c1, c2):
         for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
-def cone_sum(c1: Cone, c2: Cone) -> Cone:
-    """Certificate for a product: the Minkowski sum of the two cones."""
-    return Cone(exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
-                tuple((l1 + l2, u1 + u2)
-                      for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
+def cone_sum(*cones: Cone) -> Cone:
+    """Certificate for a product: the Minkowski sum of the cones, built once
+    over their concatenated generators.  First occurrences keep their order,
+    so it equals the pairwise fold ``cone_sum(cone_sum(a, b), c)``."""
+    offsets, gens, bounds = zip(*((c.offset, c.generators, c.bounds) for c in cones))
+    return Cone(tuple(map(sum, zip(*offsets))), tuple(itertools.chain(*gens)),
+                tuple(tuple(map(sum, zip(*b))) for b in zip(*bounds)))
 
 
 def functional_range(row, box: Box):

@@ -5,7 +5,7 @@ Exponents inside a box are packed into one int each (``_Packing``), so a
 pair of terms costs one int add and two masked compares against a window;
 ``_pair_loop`` forms the pairs whose packed sum lies in a window, and
 ``_convolve`` is the exact tuple product that small exact operands take
-instead.  ``series._mul_chain`` and ``powers._sum_powers`` drive it.
+instead.  ``series._chain_terms`` and ``powers._sum_powers`` drive it.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _pair_loop(xs, ys, window, guard) -> dict:
 
 def _convolve(fld, a: dict, b: dict) -> dict:
     """The exact product of two exact coefficient maps, pairs summed as
-    tuples, for an exact prefix of ``_mul_chain``: such operands are small,
+    tuples, for an exact prefix of ``_chain_terms``: such operands are small,
     and replaying the 11,655 such calls of a seed-1 cli-session pass through
     the packed loop took 0.78 s against 0.30 s (process time)."""
     if len(a) > len(b):

@@ -74,7 +74,7 @@ def _reach_setup(f: Series, box, i_cap):
                in zip(bounds, blo, bhi, down, up)):
             i_max = 0  # no single factor fits: only the constant term
         else:
-            blo, bhi = _stored_cut(f, down, up, blo, bhi)
+            blo, bhi = _stored_cut(f.box, bounds, down, up, blo, bhi)
             if any(map(operator.gt, blo, bhi)):
                 raise BoxUnderflow("no point of the target box has its factors stored")
             box = Box(tuple(blo), tuple(bhi))

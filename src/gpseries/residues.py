@@ -28,10 +28,10 @@ from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
 from .series import (
     Ambient,
     Series,
+    _chain_terms,
     _check_box,
     _extents,
     _key_extents,
-    _mul_chain,
     add,
     factorize,
     h_box,
@@ -151,12 +151,13 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
 
 
 def _read_quotient(nums, dens, box) -> Series:
-    """prod nums / prod dens, known in ``box``.  The product of ``dens``
-    is inverted once, in ``box`` less the summed extents of ``nums``, which
+    """prod nums / prod dens, known in ``box``, with no cone certificate:
+    its callers read coefficients alone.  The product of ``dens`` is
+    inverted once, in ``box`` less the summed extents of ``nums``, which
     holds every point of the inverse that the numerators can carry into
-    ``box``; one ``_mul_chain`` then multiplies the inverse by ``nums`` in
-    turn, aimed at ``box`` unless every factor is exact, so that an exact
-    quotient stays exact everywhere."""
+    ``box``; one ``_chain_terms`` then multiplies the inverse by ``nums``
+    in turn, aimed at ``box`` unless every factor is exact, so that an
+    exact quotient stays exact everywhere, and builds no cone on the way."""
     factors = list(nums)
     if dens:
         lo, hi = list(box.lo), list(box.hi)
@@ -166,7 +167,8 @@ def _read_quotient(nums, dens, box) -> Series:
                 hi[c] -= a
         factors.insert(0, invert(reduce(mul, dens), Box(tuple(lo), tuple(hi))))
     exact = all(f.box is None for f in factors)
-    return _mul_chain(factors, None if exact else box)
+    coeffs, known, _ = _chain_terms(factors, None if exact else box)
+    return Series(factors[0].ambient, coeffs, known, None)
 
 
 def _jacobi_in_box(num: Series, p: ParameterSystem, idx,

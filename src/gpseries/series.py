@@ -130,13 +130,11 @@ class Series:
         return self.ambient.field
 
     def is_zero(self) -> bool:
-        """True iff certainly zero: nothing is stored, and ``_stored_cut``
-        at partner 0 cuts nothing, as the cone bounds lie inside the box (an
-        exact series always qualifies)."""
-        if self.coeffs:
-            return False
-        lo, hi = _stored_cut(self, *[zero_exp(self.order.k)] * 2)
-        return not any(map(math.isfinite, lo + hi))
+        """True iff certainly zero: nothing is stored, and the cone bounds lie
+        inside the box, so ``_stored_cut`` cuts nothing (an exact series)."""
+        return not self.coeffs and (self.box is None or self.cone is not None and all(
+            a <= mu and nu <= b
+            for (mu, nu), a, b in zip(self.cone.bounds, self.box.lo, self.box.hi)))
 
     def sorted_terms(self):
         return [(g, self.coeffs[g]) for g in self.order.sorted(self.coeffs)]
@@ -245,35 +243,31 @@ def _extents(f: Series):
     return _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * f.order.k
 
 
-def _stored_cut(f: Series, olo, ohi, lo=None, hi=None):
+def _stored_cut(box, bounds, olo, ohi, lo=None, hi=None):
     """The one rule for where a truncated result is known: the box [lo, hi]
-    (unbounded by default) cut, as lists, to the points p where every term of
-    f that a partner exponent in [olo, ohi] can carry to p is stored.  Only
-    where f's cone bounds reach past an end of its box (every end, for a
-    truncated f without a cone; none, for an exact f) is there a cut, and an
-    infinite partner end there leaves it empty."""
-    k = f.order.k
+    (unbounded by default) cut, as lists, to the points p where every term
+    of an operand with ``box`` and cone ``bounds`` that a partner exponent in
+    [olo, ohi] can carry to p is stored.  Only where the bounds reach past an
+    end of the box (every end if None; none for an exact operand, box None)
+    is there a cut, and an infinite partner end there leaves it empty."""
+    k = len(olo)
     lo = [-math.inf] * k if lo is None else list(lo)
     hi = [math.inf] * k if hi is None else list(hi)
-    if f.box is None:
+    if box is None:
         return lo, hi
-    bounds = f.cone.bounds if f.cone is not None else [(-math.inf, math.inf)] * k
-    for c, (mu, nu) in enumerate(bounds):
-        if mu < f.box.lo[c]:
-            lo[c] = max(lo[c], f.box.lo[c] + ohi[c])
-        if nu > f.box.hi[c]:
-            hi[c] = min(hi[c], f.box.hi[c] + olo[c])
+    for c, (mu, nu) in enumerate(bounds or [(-math.inf, math.inf)] * k):
+        if mu < box.lo[c]:
+            lo[c] = max(lo[c], box.lo[c] + ohi[c])
+        if nu > box.hi[c]:
+            hi[c] = min(hi[c], box.hi[c] + olo[c])
     return lo, hi
 
 
 def _effective_cone(f: Series):
-    """Support certificate: stored cone, or one derived from an exact sum
+    """Support certificate: the stored cone, or one derived from an exact sum
     (offset at its least key, generators the keys minus it, so positive,
-    bounds from its key extents).
-
-    Returns None for an exact zero series (empty support needs no cone) and
-    raises BoxUnderflow for a truncated series without a certificate.
-    """
+    bounds its key extents); None for an exact zero, and BoxUnderflow for a
+    truncated series without a certificate."""
     if f.box is None:
         if not f.coeffs:
             return None
@@ -303,7 +297,8 @@ def add(f: Series, g: Series) -> Series:
     if f.box is None and g.box is None:
         return Series(f.ambient, coeffs, None, None)
     zero = zero_exp(f.order.k)
-    lo, hi = _stored_cut(g, zero, zero, *_stored_cut(f, zero, zero))
+    lo, hi = _stored_cut(g.box, g.cone and g.cone.bounds, zero, zero,
+                         *_stored_cut(f.box, f.cone and f.cone.bounds, zero, zero))
     for c, ((a1, b1), (a2, b2)) in enumerate(zip(_extents(f), _extents(g))):
         lo[c] = min(a1, a2) if lo[c] == -math.inf else lo[c]
         hi[c] = max(b1, b2) if hi[c] == math.inf else hi[c]
@@ -322,44 +317,50 @@ def mul(f: Series, g: Series) -> Series:
     return _mul_chain((f, g), None)
 
 
-def _product_box(f: Series, g: Series, c1, c2) -> Box:
-    """The box in which the product of f and g (not both exact) is
-    certified: every pair that can land there is stored in the operands."""
-    lo, hi = _stored_cut(g, *zip(*c1.bounds), *_stored_cut(f, *zip(*c2.bounds)))
+def _product_box(box1, bd1, box2, bd2) -> Box:
+    """Where the product of two operands (box, None if exact, and cone bounds
+    each) is certified: every pair that can land there is stored in them."""
+    lo, hi = _stored_cut(box2, bd2, *zip(*bd1), *_stored_cut(box1, bd1, *zip(*bd2)))
     # an end the cuts left open is certifiable at any bound; fall back to
     # the sum of the operands' extents (an exact one's cone bounds)
-    for c, ((a1, b1), (a2, b2)) in enumerate(zip(*[
-            cone.bounds if h.box is None else zip(h.box.lo, h.box.hi)
-            for h, cone in ((f, c1), (g, c2))])):
+    stored = [bd if box is None else [*zip(box.lo, box.hi)]
+              for box, bd in ((box1, bd1), (box2, bd2))]
+    for c, ((l1, u1), (l2, u2)) in enumerate(zip(*stored)):
         if lo[c] == -math.inf:
-            lo[c] = min(a1 + a2, hi[c])
+            lo[c] = min(l1 + l2, hi[c])
         if hi[c] == math.inf:
-            hi[c] = max(b1 + b2, lo[c])
+            hi[c] = max(u1 + u2, lo[c])
         if not -math.inf < lo[c] <= hi[c] < math.inf:
-            raise BoxUnderflow(f"certified product box is empty in coordinate {c}")
+            raise BoxUnderflow(f"certified product box is empty in coordinate {c}: "
+                               f"operands stored in {stored[0][c]} and {stored[1][c]}, "
+                               f"cone bounds {bd1[c]} and {bd2[c]}")
     return Box(tuple(lo), tuple(hi))
 
 
 def mul_within(f: Series, g: Series, box) -> Series:
-    """The product f*g, computed only inside ``box``: ``_mul_chain`` of the
-    two factors."""
+    """The product f*g, computed only inside ``box``."""
     return _mul_chain((f, g), box)
 
 
 def _mul_chain(factors, box) -> Series:
-    """The product of two or more factors, multiplied left to right and
-    computed only inside ``box`` (None: the whole certified product box;
-    everywhere if every factor is exact).
+    """``_chain_terms``'s product, a truncated one certified by one cone_sum."""
+    coeffs, target, chain = _chain_terms(factors, box)
+    cone = None if target is None else cone_sum(*map(_effective_cone, chain))
+    return Series(factors[0].ambient, coeffs, target, cone)
+
+
+def _chain_terms(factors, box):
+    """(coeffs, box, factors multiplied) of a product of two or more factors,
+    multiplied left to right and computed only inside ``box`` (None: the
+    whole certified box; everywhere, box None, if every factor is exact).
 
     An exact prefix, short of the last step if there is a box, is formed
-    whole by ``_convolve``.  The later steps share one ``_Packing``: each
-    distinct factor is packed and given its cone once, and the partial
-    product stays a packed int map over one denominator.  Each step
-    certifies its box by ``_product_box`` from boxes and cones alone, as
-    ``mul`` would, and the last step's box is cut to ``box``; a ``box``
-    that misses the certified box raises BoxUnderflow.  A step forms only
-    the terms that the stored terms of the factors still to come can carry
-    into ``box``: those in ``box`` minus the sum of their key extents.
+    whole by ``_convolve`` as the first factor.  The later steps share one
+    ``_Packing`` and keep the partial product packed over one denominator.
+    Each step certifies its box by ``_product_box`` from boxes and bounds
+    (an exact factor's are its key extents), so no step builds a cone, and
+    cuts the last to ``box`` (BoxUnderflow if it misses).  It forms only
+    the terms that the factors still to come can carry into ``box``.
     """
     f, *rest = factors
     ambient = f.ambient
@@ -367,14 +368,15 @@ def _mul_chain(factors, box) -> Series:
         _check_ambient(f, g)
     _check_box(ambient, box)
     if any(map(Series.is_zero, factors)):
-        return ambient.zero()
+        return {}, None, []
     fld = ambient.field
     while len(rest) > (box is not None) and f.box is None and rest[0].box is None:
         f = Series(ambient, _convolve(fld, f.coeffs, rest.pop(0).coeffs), None, None)
     if not rest:
-        return f
+        return f.coeffs, f.box, [f]
     k = ambient.k
     ext = {h: _key_extents(h.coeffs or [(0,) * k]) for h in dict.fromkeys([f, *rest])}
+    bounds = {h: _effective_cone(h).bounds if h.box else e for h, e in ext.items()}
     # reach[i]: box less the summed key extents of the factors after rest[i]
     reach = list(accumulate(map(ext.get, rest[:0:-1]), lambda r, e: (
         [a - u for a, (_, u) in zip(r[0], e)], [b - l for b, (l, _) in zip(r[1], e)]),
@@ -384,25 +386,23 @@ def _mul_chain(factors, box) -> Series:
     ints, den = fld.integral(f.coeffs)
     acc = {pk.pack(e): c for e, c in ints.items()}
     scaled = {h: fld.integral(h.coeffs) for h in dict.fromkeys(rest)}
-    packed = {h: (sorted(zip(map(pk.step, m), m.values())), d, _effective_cone(h))
+    packed = {h: (sorted(zip(map(pk.step, m), m.values())), d)
               for h, (m, d) in scaled.items()}
-    c1, guard = _effective_cone(f), pk.guard
+    fbox, b1, guard = f.box, bounds[f], pk.guard  # the partial product's box, bounds
     for i, (g, (rlo, rhi)) in enumerate(zip(rest, reach)):
-        ys, d, c2 = packed[g]
+        (ys, d), b2 = packed[g], bounds[g]
         target = box if i == len(rest) - 1 else None
-        if f.box is not None or g.box is not None:
+        if fbox is not None or g.box is not None:
             try:
-                target = box_intersect(_product_box(f, g, c1, c2), target)
+                target = box_intersect(_product_box(fbox, b1, g.box, b2), target)
             except ValueError:
                 raise BoxUnderflow(
                     "target box lies outside the certified product box") from None
         window = pk.window([*map(max, target.lo, rlo)], [*map(min, target.hi, rhi)])
         acc = fld.reduce(_pair_loop(acc.items(), ys, window, guard)) if window else {}
         den *= d
-        c1 = cone_sum(c1, c2)
-        f = Series(ambient, {}, target, c1)  # the terms stay packed in acc
-    coeffs = {pk.unpack(s): c for s, c in fld.reduce(acc, den).items()}
-    return Series(ambient, coeffs, target, c1)
+        fbox, b1 = target, [(l1 + l2, u1 + u2) for (l1, u1), (l2, u2) in zip(b1, b2)]
+    return {pk.unpack(s): c for s, c in fld.reduce(acc, den).items()}, fbox, [f, *rest]
 
 
 def truncate(f: Series, smaller_box: Box) -> Series:

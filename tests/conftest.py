@@ -1,11 +1,20 @@
 import random
 
-from gpseries import Ambient, GroupSplit, QQ, TermOrder, lex_order
+from gpseries import Ambient, Cone, GroupSplit, QQ, TermOrder, lex_order
+from gpseries.exponents import exp_add
 
 
 def make_ambient(n, m=0, order=None, field=QQ):
     k = m + n
     return Ambient(GroupSplit(m, n), order or lex_order(k), field)
+
+
+def pairwise_cone_sum(c1, c2):
+    """The two-cone Minkowski sum that product chains once folded step by
+    step, one Cone per step: the reference for ``cone_sum``."""
+    return Cone(exp_add(c1.offset, c2.offset), c1.generators + c2.generators,
+                tuple((l1 + l2, u1 + u2)
+                      for (l1, u1), (l2, u2) in zip(c1.bounds, c2.bounds)))
 
 
 def random_unimodular(rng: random.Random, n: int):

@@ -349,6 +349,19 @@ def test_long_product_answers(capsys):
     assert capsys.readouterr().out == "X^1200\n"
 
 
+def test_long_chain_with_truncated_operand_answers(capsys):
+    """600 factors, the first one truncated: each product's cone is built
+    at once, so printing it needs no deep recursion."""
+    expr = "*".join(["1/(1-X)"] + ["(1+X)"] * 599)
+    assert run(["eval", expr, "--box=0..3", "--json"]) == 0
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data["box"] == {"lo": [0], "hi": [3]}
+    assert data["cone"] == {"offset": [0], "generators": [[1]], "bounds": [[0, None]]}
+    assert [t["coeff"] for t in data["terms"]][:2] == ["1/1", "600/1"]
+    assert "Traceback" not in err and err == ""
+
+
 @pytest.mark.parametrize("text", [
     "(" * 2000 + "X" + ")" * 2000,
     "(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1),

@@ -17,6 +17,7 @@ from gpseries.exponents import (
     TermOrder,
     box_intersect,
     certify_cone_below,
+    cone_sum,
     int_det,
     lex_order,
     make_cone,
@@ -24,6 +25,8 @@ from gpseries.exponents import (
     power_exhaustion_bound,
     validate_order,
 )
+
+from conftest import pairwise_cone_sum
 
 G1 = parse_order("1,0;0,1")  # X-major
 G2 = parse_order("0,1;1,0")  # Y-major
@@ -226,3 +229,28 @@ def test_certify_cone_below():
 def test_order_string_round_trip():
     assert parse_order(G2.to_string()).matrix == G2.matrix
     assert lex_order(3).to_string() == "1,0,0;0,1,0;0,0,1"
+
+
+_lo_end = st.just(-math.inf) | st.integers(-9, 9)
+_hi_end = st.just(math.inf) | st.integers(-9, 9)
+# zero and repeated generators, and bounds tighter or looser than the hull
+_cones = st.integers(1, 3).flatmap(lambda k: st.lists(st.builds(
+    Cone, st.tuples(*[st.integers(-5, 5)] * k),
+    st.lists(st.tuples(*[st.integers(-2, 2)] * k), max_size=5).map(tuple),
+    st.none() | st.tuples(*[st.tuples(_lo_end, _hi_end)] * k)), min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cones)
+def test_cone_sum_is_the_pairwise_fold(cones):
+    """One n-ary cone_sum equals the pairwise fold: the same offset,
+    generators in first-occurrence order, and bounds."""
+    whole = cone_sum(*cones)
+    fold = cones[0]
+    for c in cones[1:]:
+        fold = pairwise_cone_sum(fold, c)
+    assert (whole.offset, whole.generators, whole.bounds) == (
+        fold.offset, fold.generators, fold.bounds)
+    if len(cones) >= 3:
+        a, b, c = cones[:3]
+        assert cone_sum(a, b, c) == cone_sum(cone_sum(a, b), c)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpseries import Box, PrimeField, QQ, parse_order, residues, series
+from gpseries import Box, PrimeField, QQ, exponents, parse_order, residues, series
 from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian
 from gpseries.errors import (
     DimensionMismatch,
@@ -378,7 +378,7 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
     numerators, so the chain has a partial product to cut."""
     steps, attempts, chains = [], [], []
     convolve, pair_loop = series._convolve, series._pair_loop
-    in_box, mul_chain = residues._jacobi_in_box, residues._mul_chain
+    in_box, chain_terms = residues._jacobi_in_box, residues._chain_terms
 
     class Recording(series._Packing):
         # each packed step of a chain asks for its window once
@@ -398,7 +398,7 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
 
     def chain(factors, box):
         steps.clear()  # keep the chain's products alone
-        out = mul_chain(factors, box)
+        out = chain_terms(factors, box)
         chains.append((factors, list(steps)))
         return out
 
@@ -409,7 +409,7 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
     monkeypatch.setattr(series, "_Packing", Recording)
     monkeypatch.setattr(series, "_convolve", exact)
     monkeypatch.setattr(series, "_pair_loop", packed)
-    monkeypatch.setattr(residues, "_mul_chain", chain)
+    monkeypatch.setattr(residues, "_chain_terms", chain)
     monkeypatch.setattr(residues, "_jacobi_in_box", counting)
     calls = cut = 0
     for field in (QQ, PrimeField(5)):
@@ -436,6 +436,35 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
     assert cut == 32  # per field: 12 calls with n = 2, 4 with n = 3
 
 
+def test_jacobi_chain_builds_no_cone(monkeypatch):
+    """The chain of a jacobi_coefficient call certifies each step from cone
+    bounds alone and reads no certificate of the quotient: it builds no
+    Cone, where the call around it does (the inverse carries one)."""
+    built, chains = [], []
+    post, chain = exponents.Cone.__post_init__, residues._chain_terms
+
+    def counting(self):
+        built.append(self)
+        post(self)
+
+    def counted(factors, box):
+        before = len(built)
+        out = chain(factors, box)
+        chains.append((len(factors), len(built) - before))
+        return out
+
+    monkeypatch.setattr(exponents.Cone, "__post_init__", counting)
+    monkeypatch.setattr(residues, "_chain_terms", counted)
+    for field in (QQ, PrimeField(5)):
+        for psi, p, idxs in _slab_cases(field):
+            for idx in idxs + [(-2, *idxs[0][1:])]:
+                chains.clear()
+                jacobi_coefficient(psi, p, idx)
+                (n, cones), = chains
+                assert cones == 0 and n >= 2, idx
+    assert built
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
 def test_aimed_powers_hold_every_term_that_reaches_the_slab(field, monkeypatch):
     """The chain's one inverse, of prod Phi_l^(i_l+1), is computed only in
@@ -444,7 +473,7 @@ def test_aimed_powers_hold_every_term_that_reaches_the_slab(field, monkeypatch):
     inverse which stored terms of the numerators can carry into the slab."""
     calls = []
     in_box, full_invert = residues._jacobi_in_box, residues.invert
-    chain = residues._mul_chain
+    chain = residues._chain_terms
 
     def recording(num, p, idx, working_box):
         calls.append((working_box, [], []))
@@ -461,7 +490,7 @@ def test_aimed_powers_hold_every_term_that_reaches_the_slab(field, monkeypatch):
 
     monkeypatch.setattr(residues, "_jacobi_in_box", recording)
     monkeypatch.setattr(residues, "invert", aimed)
-    monkeypatch.setattr(residues, "_mul_chain", numerators)
+    monkeypatch.setattr(residues, "_chain_terms", numerators)
     aimed_terms = full_terms = reached = 0
     for psi, p, idxs in _slab_cases(field):
         m, k = p.ambient.split.m, p.ambient.k

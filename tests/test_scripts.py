@@ -55,3 +55,13 @@ def test_answer_digest_repeats():
     name, seed, digest = outs[0].split()
     assert (name, seed, len(digest)) == ("jacobi-recovery", "seed=1", 64)
     assert outs[0] == outs[1]
+
+
+def test_answer_digest_matches_committed():
+    """Every seed-1 answer of every benchmark workload hashes to the digest
+    committed in tests/answer_digest_seed1.txt, so a change of any answer,
+    cone or CLI output shows here.  A change meant to alter answers
+    rewrites that file with ``scripts/answer_digest.py --seed 1``."""
+    out = _run_script("answer_digest.py", "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (ROOT / "tests" / "answer_digest_seed1.txt").read_text()

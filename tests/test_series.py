@@ -50,7 +50,13 @@ from gpseries.series import (
     truncate,
 )
 
-from conftest import make_ambient, random_polynomial, random_unit_series, random_unimodular
+from conftest import (
+    make_ambient,
+    pairwise_cone_sum,
+    random_polynomial,
+    random_unimodular,
+    random_unit_series,
+)
 
 G1 = parse_order("1,0;0,1")
 G2 = parse_order("0,1;1,0")
@@ -632,7 +638,7 @@ def test_one_packing_per_chain(monkeypatch):
     made.clear()
     assert mul(g, g).coeffs and not made
     # Egorychev at (1,1,1,1): the inverted denominator, then Delta 4 times
-    chain, counts = residues._mul_chain, []
+    chain, counts = residues._chain_terms, []
 
     def counted(factors, box):
         made.clear()
@@ -640,9 +646,86 @@ def test_one_packing_per_chain(monkeypatch):
         counts.append((len(factors), len(made)))
         return out
 
-    monkeypatch.setattr(residues, "_mul_chain", counted)  # _read_quotient's chain
+    monkeypatch.setattr(residues, "_chain_terms", counted)  # _read_quotient's chain
     assert identities._egorychev_lhs(identities.DysonInstance((1, 1, 1, 1))) == 24
     assert counts == [(5, 1)]
+
+
+@st.composite
+def _chain_inputs(draw):
+    """Over Q or F_5, in 2 coordinates, under lex, reversed lex or a random
+    unimodular order: a chain of 2-5 factors, each exact or the truncated
+    inverse of an exact series in a box near its leading exponent, and a
+    target box or None."""
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    order = draw(st.sampled_from([
+        lex_order(2), TermOrder(lex_order(2).matrix[::-1]),
+        validate_order(random_unimodular(random.Random(draw(st.integers(0, 99))), 2))]))
+    amb = Ambient(GroupSplit(0, 2), order, fld)
+    # numerators and denominators prime to 5, so no coefficient vanishes
+    scalar = st.builds(Fraction, st.sampled_from([1, -1, 2, -2, 3]),
+                       st.sampled_from([1, 2, 3]))
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 2), scalar,
+                            min_size=1, max_size=4)
+    factors = []
+    for _ in range(draw(st.integers(2, 5))):
+        f = amb.series(draw(terms))
+        if draw(st.booleans()):
+            lo = tuple(-v + draw(st.integers(-2, 0)) for v in order.min(f.coeffs))
+            f = invert(f, Box(lo, tuple(v + draw(st.integers(1, 5)) for v in lo)))
+        factors.append(f)
+    return factors, draw(st.none() | st.just(Box((-40, -40), (40, 40))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_inputs())
+def test_chain_cone_is_the_pairwise_fold(inputs):
+    """A chain's certificate, built once, is the left fold of the pairwise
+    cone sum over the cones of the factors it multiplied (an exact prefix
+    counts as one factor): the same offset, generators in order and bounds."""
+    factors, box = inputs
+    try:
+        got = _mul_chain(factors, box)
+    except BoxUnderflow:
+        return  # a refused product has no certificate to compare
+    fs = list(factors)
+    while len(fs) > 1 + (box is not None) and fs[0].box is None and fs[1].box is None:
+        fs[:2] = [mul(fs[0], fs[1])]
+    if got.box is None:
+        assert len(fs) == 1 and got.cone is None and got.coeffs == fs[0].coeffs
+        return
+    want = reduce(pairwise_cone_sum, map(series._effective_cone, fs))
+    assert got.cone.offset == want.offset
+    assert got.cone.generators == want.generators
+    assert got.cone.bounds == want.bounds
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+def test_empty_product_box_says_why(field):
+    """1/(1 - X1 X2^-1) is unbounded below in X2 and 1/(1 - X2) above, so
+    their product certifies no X2 range: the refusal names the coordinate,
+    where each operand is stored there and its cone bounds there."""
+    amb = make_ambient(2, field=field)
+    x1, x2 = amb.var(1), amb.var(2)
+    f = invert(amb.one() - mul(x1, amb.var(2, -1)), Box((0, -4), (4, 0)))
+    g = invert(amb.one() - x2, Box((0, 0), (4, 4)))
+    with pytest.raises(BoxUnderflow) as err:
+        mul(f, g)
+    assert str(err.value) == (
+        "certified product box is empty in coordinate 1: operands stored in "
+        "(-4, 0) and (0, 4), cone bounds (-inf, 0) and (0, inf)")
+
+
+def test_long_mul_loop_keeps_an_eager_cone():
+    """600 products in turn, each with a truncated operand, leave a cone
+    whose generators read at once, with no deep recursion."""
+    amb = make_ambient(1)
+    x = amb.var(1)
+    f = invert(amb.one() - x, Box((0,), (3,)))
+    for _ in range(600):
+        f = mul(f, amb.one() + x)
+    assert f.box == Box((0,), (3,)) and f.cone.generators == ((1,),)
+    assert f.cone.bounds == ((0, math.inf),) and f.coefficient_at((1,)) == 601
 
 
 def test_mul_within_outside_certified_box_raises():
