@@ -115,10 +115,10 @@ def dlog(f: Series, target_box=None) -> OneForm:
 def series_det(rows) -> Series:
     """Determinant of a square matrix of series by cofactor expansion."""
     n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise IncompatibleAmbient("matrix is empty or not square")
     ambient = rows[0][0].ambient
     for row in rows:
-        if len(row) != n:
-            raise IncompatibleAmbient("matrix is not square")
         for entry in row:
             if entry.ambient != ambient:
                 raise IncompatibleAmbient("matrix entries over different ambients")
@@ -138,6 +138,8 @@ def series_det(rows) -> Series:
 def wedge(forms, basis_mode: str = DX) -> NForm:
     """Wedge product of n one-forms, as the determinant of components."""
     forms = list(forms)
+    if not forms:
+        raise IncompatibleAmbient("no one-forms given")
     ambient = forms[0].ambient
     n = ambient.split.n
     if len(forms) != n:
@@ -152,6 +154,8 @@ def wedge(forms, basis_mode: str = DX) -> NForm:
 def jacobian(fs) -> Series:
     """det(partial f_i / partial X_j)."""
     fs = list(fs)
+    if not fs:
+        raise IncompatibleAmbient("no series given")
     ambient = fs[0].ambient
     n = ambient.split.n
     if len(fs) != n:
@@ -163,10 +167,10 @@ def jacobian(fs) -> Series:
 def dlog_wedge(fs, target_box=None) -> NForm:
     """dlog f_1 ^ ... ^ dlog f_n = (1 / (f_1...f_n)) * jacobian(fs) dX."""
     fs = list(fs)
+    jac = jacobian(fs)  # first: it refuses an empty fs
     prod = fs[0].ambient.one()
     for f in fs:
         prod = mul(prod, f)
-    jac = jacobian(fs)
     return NForm(mul(invert(prod, target_box), jac), DX)
 
 

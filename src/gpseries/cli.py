@@ -346,6 +346,9 @@ def format_series(f: Series, cfg: SessionConfig) -> str:
 
 def _parse_params(cfg: SessionConfig, spec: str):
     members = [evaluate(parse(p), cfg) for p in spec.split(";") if p.strip()]
+    if not members:
+        raise FlagError(f"--params: expected expressions separated by ';', "
+                        f"got {spec!r}")
     return check_parameters(members)
 
 

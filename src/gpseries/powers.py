@@ -1,9 +1,8 @@
 """Powers and substitutions of a series: one binomial or coefficient sum,
 ``sum_i c_i f^i``, computed by the kernel ``_sum_powers``, save for the
-inverse of a series with an exact tail, which the division recurrence of
-``_invert_exact`` forms one point at a time.  Both take their bound on the
-powers that reach the target box, their packing and their reach windows
-from ``_reach_setup``."""
+inverse, which the division recurrence of ``_invert`` forms one point at a
+time.  Both take their bound on the powers that reach the target box, their
+packing and their reach windows from ``_reach_setup``."""
 
 from __future__ import annotations
 
@@ -78,7 +77,7 @@ def _reach_setup(f: Series, box, i_cap):
             if any(map(operator.gt, blo, bhi)):
                 raise BoxUnderflow("no point of the target box has its factors stored")
             box = Box(tuple(blo), tuple(bhi))
-    pk = _Packing(*_prefix_hull(k, [(ext, i_max)]), (blo, bhi))
+    pk = _Packing(*_prefix_hull(k, [(ext, i_max)]))
 
     def reach(t):
         if not t:
@@ -111,7 +110,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     i_max, box, elems, pk, reach = _reach_setup(f, box, i_cap)
     guard = pk.guard
     base, fden = fld.integral(f.coeffs)
-    step = sorted((pk.step(g), c) for g, c in base.items())
+    step = [(pk.step(g), c) for g, c in base.items()]
     inbox = reach(0)
     c0 = fld.coerce(scale * next(cs, 0))
     origin = pk.pack(zero)
@@ -139,7 +138,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
             get = acc.get
             den *= m
         m = ci.numerator * (den // d)
-        low, high = inbox[:2]
+        low, high = inbox
         for s, v in pw.items():
             if (s + low) & guard == guard and (high - s) & guard == guard:
                 acc[s] = get(s, 0) + m * v
@@ -170,7 +169,7 @@ def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
     for t in range(i_max - 1, -1, -1):
         if not level or not (window := reach(t) if t else inbox):
             break
-        low, high = window[:2]
+        low, high = window
         nxt = []
         for x in level:
             for y in steps:
@@ -180,7 +179,7 @@ def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
                     seen.add(z)
                     nxt.append(z)
         level = nxt
-    low, high = inbox[:2]
+    low, high = inbox
     need = [s for s in seen if (s + low) & guard == guard and (high - s) & guard == guard]
     if len(need) < len(seen):
         rest = seen.difference(need)
@@ -192,18 +191,20 @@ def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
     return [s for s in need if s != origin]
 
 
-def _invert_exact(tail: Series, box, scale, shift) -> Series:
-    """scale * e^shift * (1 + tail)^-1 in ``box`` for an exact tail, by the
-    division recurrence r_0 = 1, r_p = -sum_t tail_t r_(p-t): each point's
-    value is formed once, from the values of the points below it.
+def _invert(tail: Series, box, scale, shift) -> Series:
+    """scale * e^shift * (1 + tail)^-1 in ``box`` by the division
+    recurrence r_0 = 1, r_p = -sum_t tail_t r_(p-t): each point's value is
+    formed once, from the values of the points below it.
 
     ``_reach_setup`` gives i_max and the packing as for ``_sum_powers``, and
     ``_domain`` the points on a path of at most i_max keys of the tail from
     0 into the box.  Every predecessor of such a point that carries a value
-    is on such a path too, so the recurrence, run over them in an order in
-    which every key steps upward (the term order, or packed order where
-    every key packs positive), forms every value exactly, and the result is
-    the binomial sum's, term for term.
+    is on such a path too, and for a truncated tail ``_reach_setup`` has cut
+    the box so that every tail term on such a path is stored.  So the
+    recurrence, run over the domain in an order in which every key steps
+    upward (packed order where every key packs positive, else the term
+    order), forms every value exactly, and the result is the binomial
+    sum's, term for term.
     """
     fld = tail.field
     order = tail.order
@@ -231,7 +232,7 @@ def _invert_exact(tail: Series, box, scale, shift) -> Series:
             v %= p
         if v:
             r[s] = v
-    low, high = inbox[:2]
+    low, high = inbox
     coeffs = {s: scale * v for s, v in r.items()
               if (s + low) & guard == guard and (high - s) & guard == guard}
     pk.lo = exp_add(pk.lo, shift)
@@ -283,14 +284,14 @@ def power(f: Series, k: int, target_box=None) -> Series:
     exact whatever target box is passed; for k < 0 it is exact in the target
     box cut where the tail is not stored.  A monomial gives one monomial.
 
-    The inverse (k = -1) of an f with an exact tail is the same series,
-    formed by the division recurrence of ``_invert_exact``, one value per
-    point instead of one per power of the tail that reaches it.  A truncated
-    tail keeps the binomial sum, whose box ``_stored_cut`` cuts to where the
-    tail is stored, and so does k < -1: dividing by the exact (1 + tail)^-k
-    made a seed-1 jacobi-recovery pass about 15 % slower (best of 12 in
-    each of three runs: 0.113-0.128 s, against 0.134-0.192 s).  The
-    coefficient sums of ``substitute`` and ``log1p`` have no such recurrence.
+    The inverse (k = -1) is the same series, formed by the division
+    recurrence of ``_invert``, one value per point instead of one per power
+    of the tail that reaches it, for an exact and a truncated tail alike.
+    k < -1 keeps the binomial sum: the 154 such powers of a seed-1
+    dyson-routes pass (Wilson's route) took 0.019-0.025 s by it, against
+    0.042-0.059 s as invert(power(f, -k), box), with the same values (30
+    alternating in-process passes, process time).  The coefficient sums of
+    ``substitute`` and ``log1p`` have no such recurrence.
 
     Repeated ``mul``, each product certified by ``_product_box``, remains
     for a nonnegative power of a truncated f, and of an exact f with
@@ -310,8 +311,8 @@ def power(f: Series, k: int, target_box=None) -> Series:
     # binom(k, i) = binom(k, i - 1) (k - i + 1) / i, an exact division
     binoms = accumulate(count(1), lambda b, i: b * (k - i + 1) // i, initial=1)
     box = None if k >= 0 else target_box.shift(exp_neg(kg))
-    if k == -1 and tail.box is None:
-        return _invert_exact(tail, box, ak, kg)
+    if k == -1:
+        return _invert(tail, box, ak, kg)
     return _sum_powers(binoms, tail, box, k if k >= 0 else math.inf, ak, kg)
 
 

@@ -67,6 +67,8 @@ class ParameterSystem:
 
 def check_parameters(fs) -> ParameterSystem:
     fs = tuple(fs)
+    if not fs:
+        raise NotParameters("no members given")
     ambient = fs[0].ambient
     n = ambient.split.n
     if len(fs) != n:

@@ -356,7 +356,8 @@ def _chain_terms(factors, box):
 
     An exact prefix, short of the last step if there is a box, is formed
     whole by ``_convolve`` as the first factor.  The later steps share one
-    ``_Packing`` and keep the partial product packed over one denominator.
+    ``_Packing``, each distinct factor packed once and unsorted, and keep
+    the partial product packed over one denominator.
     Each step certifies its box by ``_product_box`` from boxes and bounds
     (an exact factor's are its key extents), so no step builds a cone, and
     cuts the last to ``box`` (BoxUnderflow if it misses).  It forms only
@@ -382,11 +383,11 @@ def _chain_terms(factors, box):
         [a - u for a, (_, u) in zip(r[0], e)], [b - l for b, (l, _) in zip(r[1], e)]),
         initial=(box.lo, box.hi) if box else ([-math.inf] * k, [math.inf] * k)))[::-1]
     runs = [(ext[h], len([*run])) for h, run in groupby([f, *rest])]
-    pk = _Packing(*_prefix_hull(k, runs), reach[-1])  # reach[-1] is box
+    pk = _Packing(*_prefix_hull(k, runs))
     ints, den = fld.integral(f.coeffs)
     acc = {pk.pack(e): c for e, c in ints.items()}
     scaled = {h: fld.integral(h.coeffs) for h in dict.fromkeys(rest)}
-    packed = {h: (sorted(zip(map(pk.step, m), m.values())), d)
+    packed = {h: ([*zip(map(pk.step, m), m.values())], d)
               for h, (m, d) in scaled.items()}
     fbox, b1, guard = f.box, bounds[f], pk.guard  # the partial product's box, bounds
     for i, (g, (rlo, rhi)) in enumerate(zip(rest, reach)):

@@ -294,6 +294,9 @@ def test_bad_box_with_box_given_exits_one(capsys):
     (["eval", "X", "--vars", "X,Y", "--order", "1"], "--order"),
     (["eval", "X", "--field", "fp:4"], "--field"),
     (["eval", "X", "--field", "foo"], "--field"),
+    # a member list with no expression in it
+    (["residue", "X", "--params", ""], "--params"),
+    (["represent", "X", "--params", " ; ", "--degrees", "1..2"], "--params"),
 ])
 def test_malformed_flag_exits_two(capsys, argv, flag):
     assert run(argv) == 2

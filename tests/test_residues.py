@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from gpseries import Box, PrimeField, QQ, exponents, parse_order, residues, series
-from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian
+from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian, series_det, wedge
 from gpseries.errors import (
     DimensionMismatch,
+    IncompatibleAmbient,
     NotParameters,
     NotRegular,
     ZeroSeries,
@@ -74,6 +75,16 @@ def test_check_parameters_characteristic():
 def test_check_parameters_zero_member():
     with pytest.raises(ZeroSeries):
         check_parameters([X1, AMB.zero()])
+
+
+def test_empty_member_lists_are_typed_errors():
+    """A system, matrix or wedge of no members is refused by a typed error,
+    not by an IndexError from reading its first member."""
+    with pytest.raises(NotParameters):
+        check_parameters(())
+    for fn in (jacobian, series_det, wedge, dlog_wedge):
+        with pytest.raises(IncompatibleAmbient):
+            fn([])
 
 
 def test_residue_constant_term():

@@ -40,6 +40,17 @@ def test_package_runs_as_module():
     assert out.stdout == "lhs=6 rhs=6 equal=true\n"
 
 
+def test_ab_passes_runs_a_tree_against_itself():
+    """A/A on jacobi-recovery: two pairs of whole passes, every answer
+    checked, one summary line."""
+    out = _run_script("ab_passes.py", str(ROOT), str(ROOT), "--passes", "2",
+                      "jacobi-recovery")
+    assert out.returncode == 0, out.stderr
+    [line] = out.stdout.splitlines()
+    assert line.startswith("jacobi-recovery seed=1 passes=2 ")
+    assert "B/A" in line and line.endswith("/2")
+
+
 def test_answer_digest_repeats():
     """Two runs, under different string hash seeds, print the same digest
     of every jacobi-recovery answer of seed 1."""

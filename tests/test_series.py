@@ -31,8 +31,9 @@ from gpseries import (
     parse_order,
     validate_order,
 )
-from gpseries import exponents, identities, residues, series
-from gpseries.exponents import exp_neg
+from gpseries import exponents, identities, powers, residues, series
+from gpseries.exponents import exp_neg, exp_sub
+from gpseries.packing import _Packing
 from gpseries.powers import _sum_powers
 from gpseries.series import (
     _mul_chain,
@@ -437,8 +438,10 @@ def test_exact_power_is_repeated_product(inputs):
 @st.composite
 def _inverse_inputs(draw):
     """Over Q or F_5, in 1-3 coordinates, under lex, reversed lex or a
-    random unimodular order: an exact f of two or more terms and a box that
-    holds the leading exponent of its inverse, cuts past it or misses it."""
+    random unimodular order: an exact f of two or more terms, or a
+    truncated f = P1 * invert(P2, B) + P3 as in the nested divisions, and
+    a box that holds the leading exponent of its inverse, cuts past it or
+    misses it."""
     k = draw(st.integers(1, 3))
     fld = draw(st.sampled_from([QQ, PrimeField(5)]))
     order = draw(st.sampled_from([
@@ -446,8 +449,19 @@ def _inverse_inputs(draw):
         validate_order(random_unimodular(random.Random(draw(st.integers(0, 99))), k))]))
     amb = Ambient(GroupSplit(0, k), order, fld)
     scalar = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
-    f = amb.series(draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * k),
-                                        scalar, min_size=2, max_size=5)))
+
+    def poly(size):
+        return amb.series(draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * k),
+                                               scalar, min_size=size, max_size=5)))
+
+    f = poly(2)
+    if draw(st.booleans()):
+        lo = draw(st.tuples(*[st.integers(-3, 0)] * k))
+        b = Box(lo, tuple(v + draw(st.integers(0, 6)) for v in lo))
+        try:
+            f = add(mul(poly(1), invert(poly(2), b)), poly(0))
+        except GPSeriesError:  # P2 is zero, or the product box is empty
+            assume(False)
     lead = order.min(f.coeffs) if f.coeffs else (0,) * k
     far = draw(st.sampled_from([0, 0, 0, 12, -12]))
     lo = tuple(-v + far + draw(st.integers(-3, 1)) for v in lead)
@@ -457,23 +471,61 @@ def _inverse_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_inverse_inputs())
 def test_inverse_by_recurrence_is_the_binomial_sum(inputs):
-    """power(f, -1, box) of an exact f, formed by the division recurrence,
-    is the series the binomial sum a^-1 e^-g sum_i (-tail)^i gives:
-    coefficients, box and cone; and f times it is 1 on the certified box."""
+    """power(f, -1, box), formed by the division recurrence, is the series
+    the binomial sum a^-1 e^-g sum_i (-tail)^i gives, for an exact or a
+    truncated tail: coefficients, box and cone, or the same refusal; and
+    f times it is 1 on the certified box.  The box is the target box for
+    an exact f, and inside it for a truncated one."""
     amb, f, box = inputs
-    assume(len(f.coeffs) > 1)  # zero coefficients may leave one term or none
-    inv = power(f, -1, box)
-    a, g, tail = factorize(f)
-    ref = _sum_powers(map(lambda i: (-1) ** i, count()), tail, box.shift(g),
-                      math.inf, amb.field.power(a, -1), exp_neg(g))
+    try:
+        a, g, tail = factorize(f)
+    except (LeadingTermUncertain, ZeroSeries):
+        assume(False)
+    assume(not tail.is_zero())  # zero coefficients may leave a monomial
+    got = []
+    for inverse in (lambda: power(f, -1, box), lambda: _sum_powers(
+            map(lambda i: (-1) ** i, count()), tail, box.shift(g), math.inf,
+            amb.field.power(a, -1), exp_neg(g))):
+        try:
+            got.append(inverse())
+        except GPSeriesError as e:
+            got.append((type(e), str(e)))
+    inv, ref = got
+    if not isinstance(inv, series.Series):
+        assert inv == ref and f.box is not None
+        return
     assert inv.coeffs == ref.coeffs
-    assert inv.box == ref.box == box and inv.cone == ref.cone
+    assert inv.box == ref.box and inv.cone == ref.cone
+    assert inv.box == box if f.box is None else box.contains_box(inv.box)
     _assert_canonical(amb.field, inv.coeffs)
     try:
         prod = mul(f, invert(f, box))
     except BoxUnderflow:  # f and its inverse reach past each other's ends
         return
     assert prod.eq_within(amb.one())
+
+
+def test_truncated_inverse_takes_the_recurrence(monkeypatch):
+    """The inverse of a truncated f, the divisor of a nested division,
+    walks one domain and calls no binomial sum."""
+    amb = make_ambient(1)
+    X = amb.var(1)
+    f = add(invert(amb.one() - X - X ** 2, Box((0,), (12,))), X)
+    calls, real_domain = [], powers._domain
+
+    def domain(*args):
+        calls.append("domain")
+        return real_domain(*args)
+
+    monkeypatch.setattr(powers, "_domain", domain)
+    monkeypatch.setattr(powers, "_sum_powers", lambda *args: calls.append("sum"))
+    inv = power(f, -1, Box((0,), (10,)))
+    assert calls == ["domain"]
+    # 1/f = (1 - X - X^2) / (1 + X - X^2 - X^3), known up to X^10
+    want = mul(amb.one() - X - X ** 2,
+               invert(amb.one() + X - X ** 2 - X ** 3, Box((0,), (10,))))
+    assert inv.box == Box((0,), (10,)) and inv.eq_within(want)
+    assert len(inv.coeffs) == 11
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "f10007"])
@@ -599,6 +651,52 @@ def test_mul_chain_with_a_repeated_factor(inputs):
     assert got.box == want.box
     assert got.coeffs == want.coeffs
     _assert_canonical(amb.field, got.coeffs)
+
+
+@st.composite
+def _packing_inputs(draw):
+    """A box in 1-3 coordinates with spans up to 2^70, two points g, g2 in
+    it, and a region whose ends are infinite, near the box's ends or at
+    most 1 from g's coordinates."""
+    k = draw(st.integers(1, 3))
+    lo = draw(st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * k))
+    hi = tuple(a + draw(st.integers(0, 9) | st.integers(0, 2 ** 70)) for a in lo)
+    g, g2 = (tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi)) for _ in "gg")
+
+    def end(inf, v, a):
+        return draw(st.sampled_from([inf, v - 1, v, v + 1, a - 1, a, a + 1]))
+
+    region = ([end(-math.inf, v, a) for v, a in zip(g, lo)],
+              [end(math.inf, v, b) for v, b in zip(g, hi)])
+    return lo, hi, g, g2, region
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packing_inputs())
+def test_packing_steps_and_windows(inputs):
+    """pack and unpack round-trip, pack(g) + step(h) == pack(g + h) inside
+    the box, a step packs positive iff its last nonzero coordinate is
+    positive (so packed order walks every positive step upward), and a
+    window accepts exactly the packed points of its region."""
+    lo, hi, g, g2, (rlo, rhi) = inputs
+    pk = _Packing(lo, hi)
+    guard = pk.guard
+    h = exp_sub(g2, g)
+    assert pk.unpack(pk.pack(g)) == g and pk.unpack(pk.pack(g2)) == g2
+    assert pk.pack(g) + pk.step(h) == pk.pack(g2)
+    last = next((v for v in reversed(h) if v), 0)
+    assert (pk.step(h) > 0) == (last > 0)
+    window = pk.window(rlo, rhi)
+    misses = any(max(a, l) > min(b, u) for a, b, l, u in zip(lo, hi, rlo, rhi))
+    assert (window is None) == misses
+    for p in (g, g2):
+        inside = all(l <= v <= u for l, v, u in zip(rlo, p, rhi))
+        if window is None:
+            assert not inside
+            continue
+        low, high = window
+        s = pk.pack(p)
+        assert ((s + low) & guard == guard and (high - s) & guard == guard) == inside
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
