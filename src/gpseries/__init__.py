@@ -15,6 +15,7 @@ from .errors import (
     GPSeriesError,
     IncompatibleAmbient,
     LeadingTermUncertain,
+    MalformedJSON,
     NonPositiveSupportElement,
     NotParameters,
     NotPositive,

@@ -14,6 +14,7 @@ from .exponents import exp_neg
 from .series import (
     Ambient,
     Series,
+    _mul_chain,
     add,
     h_coefficient_at,
     invert,
@@ -168,10 +169,7 @@ def dlog_wedge(fs, target_box=None) -> NForm:
     """dlog f_1 ^ ... ^ dlog f_n = (1 / (f_1...f_n)) * jacobian(fs) dX."""
     fs = list(fs)
     jac = jacobian(fs)  # first: it refuses an empty fs
-    prod = fs[0].ambient.one()
-    for f in fs:
-        prod = mul(prod, f)
-    return NForm(mul(invert(prod, target_box), jac), DX)
+    return NForm(mul(invert(_mul_chain(fs, None), target_box), jac), DX)
 
 
 def form_h_coefficient(w: NForm, monomial_exps, basis_mode: str = DLOGX) -> Series:

@@ -85,5 +85,9 @@ class TooManyDigits(GPSeriesError):
     text (``sys.get_int_max_str_digits()``, 4300 by default)."""
 
 
+class MalformedJSON(GPSeriesError):
+    """A JSON document lacks a key or holds a value of the wrong kind."""
+
+
 class UnknownMode(GPSeriesError, ValueError):
     """A Dyson method or n-form basis mode that does not exist was named."""

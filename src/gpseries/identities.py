@@ -30,7 +30,7 @@ from .exponents import (
     zero_exp,
 )
 from .residues import ParameterSystem, _read_quotient, check_parameters
-from .series import Ambient, Series, add, invert, mul, power
+from .series import Ambient, Series, _mul_chain, add, invert, mul, power
 from .fields import QQ
 
 
@@ -111,15 +111,10 @@ def _wilson_ambient(n: int) -> Ambient:
 
 def _cross_product(ambient: Ambient, i: int) -> Series:
     """prod_{j != i} (1 - X_i / X_j) as an exact Laurent polynomial."""
-    n = ambient.split.n
-    out = ambient.one()
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        g = tuple((1 if c == i - 1 else -1 if c == j - 1 else 0)
-                  for c in range(n))
-        out = mul(out, add(ambient.one(), ambient.monomial(-1, g)))
-    return out
+    n, one = ambient.split.n, ambient.one()
+    gs = [tuple(1 if c == i - 1 else -1 if c == j - 1 else 0 for c in range(n))
+          for j in range(1, n + 1) if j != i]
+    return _mul_chain([one, *(add(one, ambient.monomial(-1, g)) for g in gs)], None)
 
 
 def wilson_parameters(n: int, box: Box = None) -> ParameterSystem:
@@ -158,13 +153,9 @@ def wilson_wedge_check(n: int) -> bool:
     where P_i = prod_{j != i}(1 - X_i/X_j) = 1/Phi_i."""
     ambient = _wilson_ambient(n)
     ps = [_cross_product(ambient, i) for i in range(1, n + 1)]
-    jac = jacobian([ambient.var(1)] + ps[1:])
-    lhs = mul(jac, ps[0])
-    for j in range(2, n + 1):
-        lhs = mul(lhs, ambient.var(j))
-    rhs = ambient.constant(math.factorial(n - 1))
-    for p in ps[1:]:
-        rhs = mul(rhs, p)
+    lhs = _mul_chain([jacobian([ambient.var(1)] + ps[1:]), ps[0],
+                      *map(ambient.var, range(2, n + 1))], None)
+    rhs = _mul_chain([ambient.constant(math.factorial(n - 1)), *ps[1:]], None)
     return lhs.eq_within(rhs)
 
 
@@ -191,13 +182,9 @@ def _egorychev_ambient(n: int) -> Ambient:
 def _pair_product(out: Series, skip: int = 0) -> Series:
     """out * prod_{j<k, j,k != skip} (X_j - X_k); skip = 0 keeps every pair."""
     ambient = out.ambient
-    n = ambient.split.n
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            if skip in (j, k):
-                continue
-            out = mul(out, add(ambient.var(j), ambient.var(k).scale(-1)))
-    return out
+    pairs = itertools.combinations(range(1, ambient.split.n + 1), 2)
+    return _mul_chain([out, *(add(ambient.var(j), ambient.var(k).scale(-1))
+                              for j, k in pairs if skip not in (j, k))], None)
 
 
 def _upsilon(ambient: Ambient, i: int) -> Series:
@@ -251,12 +238,9 @@ def egorychev_wedge_check(n: int) -> bool:
     polynomial form of dlog Upsilon = (n!(n-1)/2) dlog X."""
     ambient = _egorychev_ambient(n)
     ups = [_upsilon(ambient, i) for i in range(1, n + 1)]
-    lhs = jacobian(ups)
-    for i in range(1, n + 1):
-        lhs = mul(lhs, ambient.var(i))
-    rhs = ambient.constant(Fraction(math.factorial(n) * (n - 1), 2))
-    for u in ups:
-        rhs = mul(rhs, u)
+    lhs = _mul_chain([jacobian(ups), *map(ambient.var, range(1, n + 1))], None)
+    rhs = _mul_chain([ambient.constant(Fraction(math.factorial(n) * (n - 1), 2)),
+                      *ups], None)
     return lhs.eq_within(rhs)
 
 

@@ -295,8 +295,10 @@ def power(f: Series, k: int, target_box=None) -> Series:
 
     Repeated ``mul``, each product certified by ``_product_box``, remains
     for a nonnegative power of a truncated f, and of an exact f with
-    k * #f <= 20, where the kernel's set-up (about 50 us) lost to it up to
-    (1+X)^7, a 3-term f^8 and a 6-term f^4 in two variables; 0^k is one mul."""
+    k * #f <= 20; 0^k is one mul.  Against the kernel (set-up about 30 us)
+    it won up to (1+X)^4 (even at ^5), a 3-term f^4 and a 6-term f^3, and
+    lost from (1+X)^6, a 3-term f^5 and a 6-term f^4 (1-2 variables, Q and
+    F_10007, timeit); a bound of 12 left seed-1 benchmark passes unchanged."""
     _check_box(f.ambient, target_box)
     n = len(f.coeffs)
     if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):

@@ -7,20 +7,22 @@ denominator to the ambient variables; Jacobi-style extraction then reads
 off coefficients of a series with respect to the parameters.  Each such
 read is one quotient, ``_read_quotient``: the product of the denominators
 is inverted once, in the box that the numerators' extents leave, and one
-chain of products carries it and the numerators into the box read.  The
-Egorychev route of ``identities`` reads its constant term the same way.
+chain of products carries it and the numerators into the box read, so no
+product of numerators is formed whole.  The Egorychev route of
+``identities`` reads its constant term the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
 from .errors import (
     DimensionMismatch,
     IncompatibleAmbient,
+    MalformedJSON,
     NotParameters,
     NotRegular,
 )
@@ -32,6 +34,7 @@ from .series import (
     _check_box,
     _extents,
     _key_extents,
+    _mul_chain,
     add,
     factorize,
     h_box,
@@ -140,16 +143,17 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
                        working_box=None) -> Series:
     """H-coefficient of psi at Phi^idx, extracted as the residue of
     psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters
-    by one ``_read_quotient``, with no retry.  The working box bounds only
-    the H coordinates of the read; the variable coordinates are pinned to
-    the X^-1 slab that the residue reads."""
+    by one ``_read_quotient``, with no retry: psi and J(Phi) enter its
+    chain as two numerators, so psi J(Phi) is never formed whole.  The
+    working box bounds only the H coordinates of the read; the variable
+    coordinates are pinned to the X^-1 slab that the residue reads."""
     idx = tuple(idx)
     if len(idx) != p.n:
         raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
     _check_box(p.ambient, working_box)
     if working_box is None:
         working_box = _default_working_box(p, idx)
-    return _jacobi_in_box(mul(psi, jacobian(p.members)), p, idx, working_box)
+    return _jacobi_in_box([psi, jacobian(p.members)], p, idx, working_box)
 
 
 def _read_quotient(nums, dens, box) -> Series:
@@ -167,20 +171,19 @@ def _read_quotient(nums, dens, box) -> Series:
             for c, (a, b) in enumerate(_extents(h)):
                 lo[c] -= b
                 hi[c] -= a
-        factors.insert(0, invert(reduce(mul, dens), Box(tuple(lo), tuple(hi))))
+        factors.insert(0, invert(_mul_chain(dens, None), Box(tuple(lo), tuple(hi))))
     exact = all(f.box is None for f in factors)
     coeffs, known, _ = _chain_terms(factors, None if exact else box)
     return Series(factors[0].ambient, coeffs, known, None)
 
 
-def _jacobi_in_box(num: Series, p: ParameterSystem, idx,
-                   working_box: Box) -> Series:
+def _jacobi_in_box(nums, p: ParameterSystem, idx, working_box: Box) -> Series:
     """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
     residue reads the X^-1 slab, over the working box's H range, of the
-    quotient of ``num`` = psi J(Phi) and the members' powers
+    quotient of ``nums`` (psi and J(Phi)) and the members' powers
     Phi_l^-(i_l+1) with i_l <= -2 by those Phi_l^(i_l+1) with i_l >= 0."""
     m, n = p.ambient.split.m, p.n
-    nums = [num] + [power(f, -i - 1) for f, i in zip(p.members, idx) if i < -1]
+    nums = [*nums, *(power(f, -i - 1) for f, i in zip(p.members, idx) if i < -1)]
     dens = [power(f, i + 1) for f, i in zip(p.members, idx) if i >= 0]
     slab = Box(working_box.lo[:m] + (-1,) * n, working_box.hi[:m] + (-1,) * n)
     return residue(GeneralizedFraction(NForm(_read_quotient(nums, dens, slab)), p))
@@ -242,27 +245,19 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
         ext = _key_extents(candidates)
         working_box = Box(tuple(a - b for a, b in ext),
                           tuple(b - a for a, b in ext))
-    units = {}
-    member_powers = []
-    for (a, g, tail) in p.leading:
-        one_plus = add(tail.ambient.one(), tail)
-        cache = {0: tail.ambient.one()}
-        member_powers.append((one_plus, cache))
+    member_powers = [(add(tail.ambient.one(), tail), {0: tail.ambient.one()})
+                     for (a, g, tail) in p.leading]
+
+    @cache
     def unit_for(idx):
-        u = units.get(idx)
-        if u is not None:
-            return u
-        u = psi.ambient.one()
-        for (one_plus, cache), i in zip(member_powers, idx):
-            if i not in cache:
+        for (one_plus, powers), i in zip(member_powers, idx):
+            if i not in powers:
                 if i < 0:
-                    cache[i] = power(one_plus, i, working_box)
+                    powers[i] = power(one_plus, i, working_box)
                 # the positive powers cached are 0..max: one product each
-                for j in range(max(cache) + 1, i + 1):
-                    cache[j] = mul(cache[j - 1], one_plus)
-            u = mul(u, cache[i])
-        units[idx] = u
-        return u
+                for j in range(max(powers) + 1, i + 1):
+                    powers[j] = mul(powers[j - 1], one_plus)
+        return _mul_chain([powers[i] for (_, powers), i in zip(member_powers, idx)], None)
 
     lead_consts = {}
     for idx in base:
@@ -306,6 +301,9 @@ def fraction_to_json(fr: GeneralizedFraction) -> dict:
 
 
 def fraction_from_json(data: dict) -> GeneralizedFraction:
-    members = [series_from_json(d) for d in data["denominator"]]
-    return GeneralizedFraction(nform_from_json(data["numerator"]),
-                               check_parameters(members))
+    try:
+        members = [series_from_json(d) for d in data["denominator"]]
+        numerator = nform_from_json(data["numerator"])
+    except (AttributeError, KeyError, TypeError) as e:
+        raise MalformedJSON(f"fraction JSON: {type(e).__name__}: {e}") from None
+    return GeneralizedFraction(numerator, check_parameters(members))

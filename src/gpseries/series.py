@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     IncompatibleAmbient,
     LeadingTermUncertain,
+    MalformedJSON,
     OutsideBox,
     ZeroSeries,
 )
@@ -83,12 +84,14 @@ class Ambient:
         return self.monomial(1, tuple(power * v for v in u))
 
     def series(self, coeffs, box=None, cone=None) -> "Series":
+        _check_box(self, box)
         clean = {}
         for g, c in coeffs.items():
+            if len(g := tuple(g)) != self.k:
+                raise DimensionMismatch(f"exponent length {len(g)} != {self.k}")
             c = self.field.coerce(c)
             if c == 0:
                 continue
-            g = tuple(g)
             if box is not None and not box.contains(g):
                 raise OutsideBox(f"term {g} lies outside the box")
             if cone is not None and any(
@@ -350,7 +353,7 @@ def _mul_chain(factors, box) -> Series:
 
 
 def _chain_terms(factors, box):
-    """(coeffs, box, factors multiplied) of a product of two or more factors,
+    """(coeffs, box, factors multiplied) of a product of one or more factors,
     multiplied left to right and computed only inside ``box`` (None: the
     whole certified box; everywhere, box None, if every factor is exact).
 
@@ -503,21 +506,26 @@ def series_to_json(f: Series) -> dict:
 
 
 def series_from_json(data: dict) -> Series:
-    order = parse_order(data["order"])
-    split = GroupSplit(data["split"]["m"], data["split"]["n"])
-    fld = field_from_name(data["field"])
-    ambient = Ambient(split, order, fld)
-    box = None
-    if data["box"] != "everywhere":
-        box = Box(tuple(data["box"]["lo"]), tuple(data["box"]["hi"]))
-    coeffs = {tuple(t["exp"]): fld.parse(t["coeff"]) for t in data["terms"]}
-    cone = None
-    if "cone" in data:  # without it the series loads uncertified
-        c = data["cone"]  # a null bound end is read back as -inf or inf
-        cone = make_cone(order, tuple(c["offset"]),
-                         [tuple(g) for g in c["generators"]],
-                         tuple(tuple(b) for b in c["bounds"]))
-    return ambient.series(coeffs, box=box, cone=cone)
+    """The series that ``series_to_json`` wrote; MalformedJSON where a key
+    is missing or a value is of the wrong kind."""
+    try:
+        order = parse_order(data["order"])
+        split = GroupSplit(data["split"]["m"], data["split"]["n"])
+        fld = field_from_name(data["field"])
+        ambient = Ambient(split, order, fld)
+        box = None
+        if data["box"] != "everywhere":
+            box = Box(tuple(data["box"]["lo"]), tuple(data["box"]["hi"]))
+        coeffs = {tuple(t["exp"]): fld.parse(t["coeff"]) for t in data["terms"]}
+        cone = None
+        if "cone" in data:  # without it the series loads uncertified
+            c = data["cone"]  # a null bound end is read back as -inf or inf
+            cone = make_cone(order, tuple(c["offset"]),
+                             [tuple(g) for g in c["generators"]],
+                             tuple(tuple(b) for b in c["bounds"]))
+        return ambient.series(coeffs, box=box, cone=cone)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise MalformedJSON(f"series JSON: {type(e).__name__}: {e}") from None
 
 
 # powers.py builds on this module, so it comes last; its public names are

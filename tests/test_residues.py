@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpseries import Box, PrimeField, QQ, exponents, parse_order, residues, series
 from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian, series_det, wedge
 from gpseries.errors import (
     DimensionMismatch,
+    GPSeriesError,
     IncompatibleAmbient,
+    MalformedJSON,
     NotParameters,
     NotRegular,
     ZeroSeries,
@@ -26,6 +30,7 @@ from gpseries.residues import (
     represent,
     residue,
 )
+from gpseries.series import series_from_json
 from gpseries.series import (
     add,
     h_coefficient_at,
@@ -37,7 +42,12 @@ from gpseries.series import (
     truncate,
 )
 
-from conftest import make_ambient, random_unimodular, random_unit_series
+from conftest import (
+    make_ambient,
+    random_polynomial,
+    random_unimodular,
+    random_unit_series,
+)
 
 AMB = make_ambient(2)
 X1, X2 = AMB.var(1), AMB.var(2)
@@ -432,8 +442,8 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
                 jacobi_coefficient(psi, p, idx)
                 calls += 1
                 factors, formed = chains[-1]
-                # the inverse, psi J(Phi), then Phi_l^-(i_l+1) for i_l <= -2
-                assert len(formed) == len(factors) - 1 == 1 + (idx[0] < -1)
+                # the inverse, psi, J(Phi), then Phi_l^-(i_l+1) for i_l <= -2
+                assert len(formed) == len(factors) - 1 == 2 + (idx[0] < -1)
                 for j, (pk, out) in enumerate(formed[:-1]):
                     assert pk is not None  # the inverse is truncated
                     cut += 1
@@ -444,7 +454,75 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
                         hi = -1 - sum(min(g[c] for g in b) for b in later)
                         assert all(lo <= pk.unpack(s)[c] <= hi for s in out), (idx, j)
     assert len(attempts) == calls
-    assert cut == 32  # per field: 12 calls with n = 2, 4 with n = 3
+    # per field: 40 calls, 16 of them (12 with n = 2, 4 with n = 3) with a
+    # negative first index, each of which cuts one more partial product
+    assert cut == 112
+
+
+def test_jacobi_chain_takes_psi_and_the_jacobian_apart(monkeypatch):
+    """psi and J(Phi) enter the one chain of a jacobi_coefficient call as
+    two factors, and no other product has psi as a factor: psi J(Phi) is
+    never formed whole."""
+    chains, products = [], []
+    aimed, other = residues._chain_terms, series._chain_terms
+    monkeypatch.setattr(residues, "_chain_terms", lambda factors, box: (
+        chains.append(list(factors)) or aimed(factors, box)))
+    monkeypatch.setattr(series, "_chain_terms", lambda factors, box: (
+        products.append(list(factors)) or other(factors, box)))
+    for field in (QQ, PrimeField(5)):
+        for psi, p, idxs in _slab_cases(field):
+            jac = jacobian(p.members)
+            for idx in idxs + [(-2, *idxs[0][1:])]:
+                chains.clear()
+                products.clear()
+                jacobi_coefficient(psi, p, idx)
+                (factors,) = chains
+                at = [f is psi for f in factors].index(True)
+                assert factors[at + 1].coeffs == jac.coeffs, idx
+                assert not any(f is psi for fs in products for f in fs), idx
+
+
+@st.composite
+def _truncated_reads(draw):
+    """Over Q or F_5 in two variables: a random regular system, the factors
+    P, U and box B of a truncated psi = P * invert(U, B), and an index."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    amb = make_ambient(2, field=field)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    p = _random_regular_system(rng, amb, 2)
+    pu = random_polynomial(rng, amb, terms=3), random_unit_series(rng, amb)
+    lo = draw(st.tuples(*[st.integers(-3, 1)] * 2))
+    box = Box(lo, tuple(a + draw(st.integers(0, 8)) for a in lo))
+    return p, pu, box, draw(st.tuples(*[st.integers(-2, 2)] * 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_truncated_reads())
+def test_jacobi_apart_agrees_with_the_whole_product(case):
+    """For a truncated psi, the read with psi and J(Phi) apart answers
+    where the read of the whole product psi J(Phi) answers, on a box at
+    least as wide and with the same coefficients, and refuses where it
+    refuses (the error type may differ)."""
+    p, (pu, u), box, idx = case
+    try:
+        psi = mul(pu, invert(u, box))
+    except GPSeriesError:
+        assume(False)  # psi itself has no certified box
+    jac = jacobian(p.members)
+
+    def read(whole):
+        try:
+            nums = [mul(psi, jac)] if whole else [psi, jac]
+            return residues._jacobi_in_box(nums, p, idx, _default_working_box(p, idx))
+        except GPSeriesError as e:
+            return e
+
+    got, ref = read(False), read(True)
+    assert isinstance(got, GPSeriesError) == isinstance(ref, GPSeriesError)
+    if not isinstance(ref, GPSeriesError):
+        assert ref.box is None or got.box.contains_box(ref.box)
+        assert got.eq_within(ref)
+        assert got.eq_within(jacobi_coefficient(psi, p, idx))
 
 
 def test_jacobi_chain_builds_no_cone(monkeypatch):
@@ -624,3 +702,30 @@ def test_fraction_json_round_trip():
     back = fraction_from_json(fraction_to_json(fr))
     assert fraction_equiv(fr, back)
     assert residue(back).eq_within(residue(fr))
+
+
+@pytest.mark.parametrize("read, mangle", [
+    (series_from_json, lambda d: d.pop("order")),
+    (series_from_json, lambda d: d["terms"][0].update(coeff="x")),
+    (series_from_json, lambda d: d["terms"][0].update(coeff="1/0")),
+    (series_from_json, lambda d: d["terms"][0].update(exp=1)),
+    (series_from_json, lambda d: d.update(split={"m": 0})),
+    (fraction_from_json, lambda d: d.pop("denominator")),
+    (fraction_from_json, lambda d: d["denominator"][0].pop("terms")),
+    (fraction_from_json, lambda d: d["numerator"]["terms"][0].update(coeff="1/0")),
+    (fraction_from_json, lambda d: d.update(numerator=[])),
+    (fraction_from_json, lambda d: d.update(denominator=None)),
+], ids=["no-order", "coeff-x", "coeff-1/0", "exp-not-a-list", "split-without-n",
+        "no-denominator", "member-without-terms", "numerator-coeff-1/0",
+        "numerator-a-list", "denominator-null"])
+def test_malformed_json_is_a_typed_error(read, mangle):
+    """A missing key or a value of the wrong kind in the JSON of a series
+    or of a fraction is a MalformedJSON, not a KeyError, ValueError,
+    TypeError or ZeroDivisionError."""
+    fr = GeneralizedFraction(NForm(AMB.one() + mul(X1, X2)), check_parameters([X1, X2]))
+    data = fraction_to_json(fr)
+    if read is series_from_json:
+        data = data["numerator"]
+    mangle(data)
+    with pytest.raises(MalformedJSON):
+        read(data)

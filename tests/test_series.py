@@ -326,6 +326,21 @@ def test_json_round_trip_exact_and_truncated():
         series_from_json(data)
 
 
+def test_dimensions_are_checked_when_a_series_is_built():
+    """An exponent or a box with the wrong number of coordinates is refused
+    where the series is built, not when it is first ordered or printed."""
+    amb = make_ambient(1)
+    with pytest.raises(DimensionMismatch):
+        amb.series({(1, 2): 1})
+    with pytest.raises(DimensionMismatch):
+        amb.series({(1,): 1}, box=Box((0, 0), (1, 1)))
+    data = series_to_json(invert(amb.one() + amb.var(1), Box((0,), (3,))))
+    with pytest.raises(DimensionMismatch):
+        series_from_json({**data, "terms": [{"exp": [1, 2], "coeff": "1/1"}]})
+    with pytest.raises(DimensionMismatch):
+        series_from_json({**data, "box": {"lo": [0, 0], "hi": [3, 3]}})
+
+
 def test_uncertain_leading_term_names_its_cause(monkeypatch):
     """factorize's refusal says why the box could not certify: the cone
     point that escapes it below the least stored term, or the walk's
