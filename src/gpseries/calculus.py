@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadVariableIndex, IncompatibleAmbient, UnknownMode
+from .errors import BadVariableIndex, IncompatibleAmbient, MalformedJSON, UnknownMode
 from .exponents import exp_neg
 from .series import (
     Ambient,
@@ -184,6 +184,8 @@ def nform_to_json(w: NForm) -> dict:
 
 
 def nform_from_json(data: dict) -> NForm:
+    if not isinstance(data, dict):
+        raise MalformedJSON(f"n-form JSON: expected an object, got {type(data).__name__}")
     basis = data.get("basis", DX)
     stripped = {k: v for k, v in data.items() if k != "basis"}
     return NForm(series_from_json(stripped), basis)

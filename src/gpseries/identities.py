@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 
 from .calculus import jacobian, partial
 from .errors import BadDimension, UnknownMode
@@ -194,7 +195,9 @@ def _upsilon(ambient: Ambient, i: int) -> Series:
         n - 1 if c == i - 1 else 0 for c in range(n))), i)
 
 
+@cache
 def egorychev_parameters(n: int) -> ParameterSystem:
+    """Upsilon_1, ..., Upsilon_n, built once per n and shared."""
     if n < 2:
         raise BadDimension("need n >= 2")
     ambient = _egorychev_ambient(n)
@@ -209,8 +212,8 @@ def vandermonde_delta(ambient: Ambient) -> Series:
 def cramer_identity_check(n: int) -> bool:
     """sum_l Upsilon_l / X_l^i = Delta for i = 0 and 0 for 1 <= i <= n-1,
     as exact Laurent polynomial identities."""
-    ambient = _egorychev_ambient(n)
-    ups = [_upsilon(ambient, i) for i in range(1, n + 1)]
+    ups = egorychev_parameters(n).members
+    ambient = ups[0].ambient
     delta = vandermonde_delta(ambient)
     for i in range(n):
         total = ambient.zero()
@@ -236,12 +239,17 @@ def euler_identity_check(n: int) -> bool:
 def egorychev_wedge_check(n: int) -> bool:
     """X_1...X_n J(Upsilons) = (n!(n-1)/2) Upsilon_1...Upsilon_n, the exact
     polynomial form of dlog Upsilon = (n!(n-1)/2) dlog X."""
-    ambient = _egorychev_ambient(n)
-    ups = [_upsilon(ambient, i) for i in range(1, n + 1)]
-    lhs = _mul_chain([jacobian(ups), *map(ambient.var, range(1, n + 1))], None)
-    rhs = _mul_chain([ambient.constant(Fraction(math.factorial(n) * (n - 1), 2)),
-                      *ups], None)
+    p = egorychev_parameters(n)
+    lhs = _mul_chain([p.jacobian, *map(p.ambient.var, range(1, n + 1))], None)
+    rhs = _mul_chain([p.ambient.constant(Fraction(math.factorial(n) * (n - 1), 2)),
+                      *p.members], None)
     return lhs.eq_within(rhs)
+
+
+@cache
+def _egorychev_delta(n: int) -> Series:
+    """Delta = sum Upsilon, built once per n and shared."""
+    return reduce(add, egorychev_parameters(n).members)
 
 
 def _egorychev_lhs(inst: DysonInstance):
@@ -250,13 +258,10 @@ def _egorychev_lhs(inst: DysonInstance):
     ``_read_quotient``: the denominator is inverted once, and the
     numerator Delta^|a| is never formed, but enters the chain as |a|
     copies of Delta."""
-    ambient = _egorychev_ambient(inst.n)
-    ups = [_upsilon(ambient, i) for i in range(1, inst.n + 1)]
-    s = ambient.zero()
-    for u in ups:
-        s = add(s, u)
-    zero = zero_exp(ambient.k)
-    return _read_quotient((s,) * sum(inst.a), [u ** ai for u, ai in zip(ups, inst.a)],
+    ups = egorychev_parameters(inst.n).members
+    zero = zero_exp(inst.n)
+    return _read_quotient((_egorychev_delta(inst.n),) * sum(inst.a),
+                          [u ** ai for u, ai in zip(ups, inst.a)],
                           Box(zero, zero)).coefficient_at(zero)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .calculus import DLOGX, NForm, jacobian, nform_from_json, nform_to_json
 from .errors import (
@@ -55,9 +55,16 @@ def multiplicities(f: Series):
 
 @dataclass(frozen=True)
 class ParameterSystem:
+    """J(Phi), ``jacobian``, depends on the system alone: it is built at
+    its first read and kept outside eq and hash, so later reads skip it."""
+
     members: tuple  # n Series
     leading: tuple  # per member (a, g, tail)
     det: int
+
+    @cached_property
+    def jacobian(self) -> Series:
+        return jacobian(self.members)
 
     @property
     def ambient(self) -> Ambient:
@@ -144,7 +151,9 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     """H-coefficient of psi at Phi^idx, extracted as the residue of
     psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters
     by one ``_read_quotient``, with no retry: psi and J(Phi) enter its
-    chain as two numerators, so psi J(Phi) is never formed whole.  The
+    chain as two numerators, so psi J(Phi) is never formed whole.  J(Phi)
+    is ``p.jacobian``, built once per system: the reads of ``p`` after
+    its first skip the build, and one read of a fresh system gains nothing.  The
     working box bounds only the H coordinates of the read; the variable
     coordinates are pinned to the X^-1 slab that the residue reads."""
     idx = tuple(idx)
@@ -153,7 +162,7 @@ def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
     _check_box(p.ambient, working_box)
     if working_box is None:
         working_box = _default_working_box(p, idx)
-    return _jacobi_in_box([psi, jacobian(p.members)], p, idx, working_box)
+    return _jacobi_in_box([psi, p.jacobian], p, idx, working_box)
 
 
 def _read_quotient(nums, dens, box) -> Series:

@@ -74,8 +74,10 @@ class Ambient:
         return self.monomial(a, zero_exp(self.k))
 
     def monomial(self, a, g) -> "Series":
+        if len(g := tuple(g)) != self.k:
+            raise DimensionMismatch(f"exponent length {len(g)} != {self.k}")
         a = self.field.coerce(a)
-        coeffs = {} if a == 0 else {tuple(g): a}
+        coeffs = {} if a == 0 else {g: a}
         return Series(self, coeffs, None, None)
 
     def var(self, i: int, power: int = 1) -> "Series":
@@ -85,6 +87,10 @@ class Ambient:
 
     def series(self, coeffs, box=None, cone=None) -> "Series":
         _check_box(self, box)
+        if cone is not None and any(len(v) != self.k for v in (
+                cone.offset, cone.bounds, *cone.generators)):
+            raise DimensionMismatch(
+                f"cone offset, bounds and generators need length {self.k}")
         clean = {}
         for g, c in coeffs.items():
             if len(g := tuple(g)) != self.k:

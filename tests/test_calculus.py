@@ -19,7 +19,7 @@ from gpseries.calculus import (
     partial,
     wedge,
 )
-from gpseries.errors import BadVariableIndex, GPSeriesError, ZeroSeries
+from gpseries.errors import BadVariableIndex, GPSeriesError, MalformedJSON, ZeroSeries
 from gpseries.identities import DysonInstance, dyson_verify
 from gpseries.series import add, invert, mul, power
 
@@ -264,6 +264,12 @@ def test_unknown_modes_are_typed_errors():
         NForm(X1).to_basis("dY")
     with pytest.raises(GPSeriesError):
         nform_from_json({**nform_to_json(NForm(X1)), "basis": "dY"})
+
+
+@pytest.mark.parametrize("data", [[], "dX", 3, None], ids=["list", "str", "int", "null"])
+def test_nform_json_that_is_not_an_object_is_malformed(data):
+    with pytest.raises(MalformedJSON):
+        nform_from_json(data)
 
 
 def test_nform_json_round_trip():

@@ -18,6 +18,7 @@ from gpseries.identities import (
     egorychev_wedge_check,
     euler_identity_check,
     lagrange_interpolation_check,
+    vandermonde_delta,
     wilson_parameters,
     wilson_wedge_check,
 )
@@ -139,6 +140,17 @@ def test_egorychev_matches_multinomial():
             expect //= math.factorial(x)
         assert dyson_verify(DysonInstance(a), "egorychev") == (
             expect, expect, True)
+
+
+def test_egorychev_parameters_are_built_once_per_n():
+    """Upsilon and Delta = sum Upsilon depend on n alone, so each is built
+    once per n and shared by every Egorychev read and check."""
+    for n in (2, 3, 4):
+        p = egorychev_parameters(n)
+        assert egorychev_parameters(n) is p
+        delta = identities._egorychev_delta(n)
+        assert identities._egorychev_delta(n) is delta
+        assert delta.eq_within(vandermonde_delta(p.ambient))
 
 
 def test_egorychev_inversion_forms_each_point_once(monkeypatch):

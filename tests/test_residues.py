@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from gpseries.errors import (
 from gpseries.exponents import box_intersect
 from gpseries.residues import (
     GeneralizedFraction,
+    ParameterSystem,
     _default_working_box,
     check_parameters,
     fraction_equiv,
@@ -169,19 +171,64 @@ def test_represent_negative_degrees(field):
         assert phi.eq_within(jacobi_coefficient(x, p, idx))
 
 
-def test_jacobi_builds_one_jacobian_per_call(monkeypatch):
-    """psi J(Phi) does not depend on the working box, so a call that
-    retries in a wider box still builds the Jacobian once."""
+def test_jacobi_builds_one_jacobian_per_system(monkeypatch):
+    """J(Phi) depends on the system alone, so seven reads of one system
+    build it once.  The kept J plays no part in eq or hash, and a fresh
+    system of the same fields builds its own."""
     calls = []
     monkeypatch.setattr(residues, "jacobian",
                         lambda members: calls.append(1) or jacobian(members))
     amb = make_ambient(1)
     x = amb.var(1)
     p = check_parameters([add(x, mul(x, x))])
+    before = hash(p)
     for k in range(6, 13):
         jacobi_coefficient(mul(amb.var(1, -k), power(amb.one() + x, 12)), p,
                            (0,))
-    assert len(calls) == 7
+    assert len(calls) == 1
+    fresh = ParameterSystem(p.members, p.leading, p.det)
+    assert fresh == p and hash(fresh) == hash(p) == before
+    jacobi_coefficient(x, fresh, (1,))
+    assert len(calls) == 2
+
+
+@st.composite
+def _system_reads(draw):
+    """Over Q or F_5, two members a X^row (1 + tail) with |det| 1 or 2, as
+    in the jacobi-recovery workload, a psi planted at indices in {0,1,2}^2,
+    and indices to read, in random order and with repeats."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    amb = make_ambient(2, field=field)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    rows = random_unimodular(rng, 2)
+    if draw(st.booleans()):
+        rows[0] = tuple(2 * v for v in rows[0])
+    members = [mul(amb.monomial(rng.choice((1, 2, -1)), row),
+                   random_unit_series(rng, amb)) for row in rows]
+    grid = [(i, j) for i in range(3) for j in range(3)]
+    planted = {idx: rng.randint(-3, 3) for idx in rng.sample(grid, rng.randint(2, 6))}
+    psi = amb.zero()
+    for (i, j), c in planted.items():
+        psi = add(psi, mul(members[0] ** i, members[1] ** j).scale(c))
+    idxs = draw(st.lists(st.sampled_from(grid + [(-1, 0), (1, -2)]),
+                         min_size=2, max_size=6))
+    return members, psi, planted, idxs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_system_reads())
+def test_jacobi_reads_of_one_system_match_fresh_systems(case):
+    """A read that finds J(Phi) already built answers as a read from a
+    freshly built system, whatever the reads before it."""
+    members, psi, planted, idxs = case
+    p = check_parameters(members)
+    fld = p.ambient.field
+    for idx in idxs:
+        got = jacobi_coefficient(psi, p, idx)
+        ref = jacobi_coefficient(psi, check_parameters(members), idx)
+        assert got.box == ref.box and got.coeffs == ref.coeffs, idx
+        if idx in itertools.product(range(3), repeat=2):
+            assert got.coefficient_at((0, 0)) == fld.coerce(planted.get(idx, 0)), idx
 
 
 @pytest.mark.parametrize("call", [

@@ -341,6 +341,32 @@ def test_dimensions_are_checked_when_a_series_is_built():
         series_from_json({**data, "box": {"lo": [0, 0], "hi": [3, 3]}})
 
 
+def test_monomial_refuses_an_exponent_of_the_wrong_length():
+    """one(), var() and constant() build through monomial, so the length
+    compare there guards them too."""
+    with pytest.raises(DimensionMismatch):
+        make_ambient(1).monomial(1, (1, 2))
+    with pytest.raises(DimensionMismatch):
+        make_ambient(2).monomial(1, (1,))
+    assert make_ambient(2).monomial(3, [1, 2]).coeffs == {(1, 2): 3}
+
+
+def test_series_refuses_a_cone_of_the_wrong_dimension():
+    """A cone given to Ambient.series has one coordinate per coordinate of
+    G in its offset, its bounds and each generator.  Cone keeps only as
+    many bounds as its offset has coordinates, so short bounds are caught
+    here too."""
+    amb, box = make_ambient(1), Box((0,), (3,))
+    with pytest.raises(DimensionMismatch):
+        amb.series({(1,): 1}, box=box,
+                   cone=Cone((0, 0), ((1, 0),), ((0, 5), (0, 5))))
+    for cone in (Cone((0, 0), ((1,),)), Cone((0, 0), ((1, 0),), ((0, 5),))):
+        with pytest.raises(DimensionMismatch):
+            make_ambient(2).series({(1, 1): 1}, cone=cone)
+    assert amb.series({(1,): 1}, box=box, cone=Cone((0,), ((1,),), ((0, 5),))
+                      ).cone.bounds == ((0, 5),)
+
+
 def test_uncertain_leading_term_names_its_cause(monkeypatch):
     """factorize's refusal says why the box could not certify: the cone
     point that escapes it below the least stored term, or the walk's
