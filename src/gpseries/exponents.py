@@ -211,7 +211,8 @@ class Cone:
     generators, so it defaults to that hull and is often tighter, e.g. after
     merging cones of exact summands, whose generators pick up spurious
     directions.  A None end given to the constructor (or read from JSON,
-    which writes null) means unbounded and is stored as -inf or inf.
+    which writes null) means unbounded and is stored as -inf or inf.  Parts
+    of another length than the offset raise DimensionMismatch.
     """
 
     offset: Exponent
@@ -219,6 +220,10 @@ class Cone:
     bounds: tuple = None  # (lo, hi) per coordinate, ends may be infinite
 
     def __post_init__(self):
+        k = len(self.offset)
+        if any(len(g) != k for g in self.generators) or (
+                self.bounds is not None and len(self.bounds) != k):
+            raise DimensionMismatch(f"cone generators or bounds length != {k}")
         # first-occurrence order is kept: certify_cone_below walks it
         gens = tuple(dict.fromkeys(g for g in self.generators if any(g)))
         object.__setattr__(self, "generators", gens)
@@ -242,11 +247,11 @@ class Cone:
 
 def make_cone(order: TermOrder, offset: Exponent, generators,
               bounds=None) -> Cone:
-    """Cone from outside the library (public API, JSON), its dimensions and
+    """Cone from outside the library (public API, JSON), its dimension and
     the positivity of each generator checked.  Cones combined inside the
     library have positive generators already and are not checked again."""
-    if len(offset) != order.k or bounds is not None and len(bounds) != order.k:
-        raise DimensionMismatch(f"cone offset or bounds length != {order.k}")
+    if len(offset) != order.k:
+        raise DimensionMismatch(f"cone offset length != {order.k}")
     cone = Cone(tuple(offset), generators, bounds)
     for g in cone.generators:
         if not order.is_positive(g):
@@ -293,9 +298,6 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
     Bounding the per-level counts top-down bounds the total.
     """
     support = [tuple(s) for s in support]
-    if not support:
-        return 0
-    k = order.k
     levels = {}
     for v in support:
         key = order.key(v)
@@ -304,20 +306,14 @@ def power_exhaustion_bound(order: TermOrder, support, box: Box) -> int:
             raise NonPositiveSupportElement(f"support element {v} is not positive")
         levels.setdefault(lvl, []).append((v, key))
     counts = {}
-    total = 0
-    for j in range(k):
-        if j not in levels:
-            continue
-        _, row_hi = functional_range(order.matrix[j], box)
-        cap = row_hi
+    for j in sorted(levels):
+        _, cap = functional_range(order.matrix[j], box)
         for j2, n2 in counts.items():
             worst = max(max(0, -key[j]) for _, key in levels[j2])
             cap += n2 * worst
         minpos = min(key[j] for _, key in levels[j])
-        n_j = max(0, cap // minpos) if cap >= 0 else 0
-        counts[j] = n_j
-        total += n_j
-    return total
+        counts[j] = max(0, cap // minpos)
+    return sum(counts.values())
 
 
 _CERTIFY_BUDGET = 200_000  # cone points visited before certification gives up

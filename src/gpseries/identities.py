@@ -5,11 +5,11 @@ expansion, keeping after each factor only the terms that the factors
 still to come can carry to the constant term, Wilson's route through the
 parameters (X_1, Phi_2, ..., Phi_n) with Phi_i the inverted products
 prod_{j != i} (1 - X_i/X_j), and the Egorychev route through the
-alternants Upsilon_i.  The Egorychev route reads its one coefficient
-as the Jacobi extraction of ``residues`` reads its slab, by
-``_read_quotient``: the denominator is inverted once and carried to
-exponent 0 by a chain of products, so its numerator (sum Upsilon)^|a| is
-never formed.
+alternants Upsilon_i.  The Egorychev route is one Jacobi extraction of
+``residues``: the coefficient of Delta^|a| at Upsilon^a, Delta = sum
+Upsilon, with Delta passed as |a| factors.  Its wedge is c dlog X, so the
+read inverts prod Upsilon_i^(a_i) once and carries it to exponent 0 by a
+chain of products, and Delta^|a| is never formed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .exponents import (
     lex_order,
     zero_exp,
 )
-from .residues import ParameterSystem, _read_quotient, check_parameters
+from .residues import ParameterSystem, check_parameters, jacobi_coefficient
 from .series import Ambient, Series, _mul_chain, add, invert, mul, power
 from .fields import QQ
 
@@ -237,32 +237,17 @@ def euler_identity_check(n: int) -> bool:
 
 
 def egorychev_wedge_check(n: int) -> bool:
-    """X_1...X_n J(Upsilons) = (n!(n-1)/2) Upsilon_1...Upsilon_n, the exact
-    polynomial form of dlog Upsilon = (n!(n-1)/2) dlog X."""
-    p = egorychev_parameters(n)
-    lhs = _mul_chain([p.jacobian, *map(p.ambient.var, range(1, n + 1))], None)
-    rhs = _mul_chain([p.ambient.constant(Fraction(math.factorial(n) * (n - 1), 2)),
-                      *p.members], None)
-    return lhs.eq_within(rhs)
+    """dlog Upsilon = (n!(n-1)/2) dlog X: the system's wedge is c dlog X,
+    c = n!(n-1)/2, read from X_1...X_n J(Upsilon) = c Upsilon_1...Upsilon_n
+    term for term."""
+    return egorychev_parameters(n).wedge == (
+        math.factorial(n) * (n - 1) // 2, (0,) * n, (), 0)
 
 
 @cache
 def _egorychev_delta(n: int) -> Series:
     """Delta = sum Upsilon, built once per n and shared."""
     return reduce(add, egorychev_parameters(n).members)
-
-
-def _egorychev_lhs(inst: DysonInstance):
-    """Constant term of Psi(Upsilon) = Delta^|a| / prod Upsilon_i^(a_i),
-    with Delta = sum Upsilon and |a| = sum a, read at exponent 0 by
-    ``_read_quotient``: the denominator is inverted once, and the
-    numerator Delta^|a| is never formed, but enters the chain as |a|
-    copies of Delta."""
-    ups = egorychev_parameters(inst.n).members
-    zero = zero_exp(inst.n)
-    return _read_quotient((_egorychev_delta(inst.n),) * sum(inst.a),
-                          [u ** ai for u, ai in zip(ups, inst.a)],
-                          Box(zero, zero)).coefficient_at(zero)
 
 
 def dyson_verify(inst: DysonInstance, method: str = "direct"):
@@ -272,7 +257,9 @@ def dyson_verify(inst: DysonInstance, method: str = "direct"):
     elif method == "wilson":
         lhs = _wilson_lhs(inst)
     elif method == "egorychev":
-        lhs = _egorychev_lhs(inst)
+        n = inst.n
+        lhs = jacobi_coefficient((_egorychev_delta(n),) * sum(inst.a), egorychev_parameters(n),
+                                 inst.a).coefficient_at(zero_exp(n))
     else:
         raise UnknownMode(f"unknown method {method!r}")
     rhs = dyson_rhs(inst)

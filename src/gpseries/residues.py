@@ -4,12 +4,13 @@ A system of parameters is n series whose multiplicity matrix (the variable
 parts of their leading exponents) has determinant nonzero in the field.
 Residues of fractions over such systems are computed by normalizing the
 denominator to the ambient variables; Jacobi-style extraction then reads
-off coefficients of a series with respect to the parameters.  Each such
-read is one quotient, ``_read_quotient``: the product of the denominators
-is inverted once, in the box that the numerators' extents leave, and one
+off coefficients of a series with respect to the parameters.  There is one
+such read, ``_jacobi_in_box``, and the system's wedge, ``ParameterSystem.
+wedge``, decides where it reads: the product of the denominators is
+inverted once, in the box that the numerators' extents leave, and one
 chain of products carries it and the numerators into the box read, so no
 product of numerators is formed whole.  The Egorychev route of
-``identities`` reads its constant term the same way.
+``identities`` is one such read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotParameters,
     NotRegular,
 )
-from .exponents import Box, box_intersect, exp_add, int_det, zero_exp
+from .exponents import Box, box_intersect, exp_add, exp_neg, exp_sub, int_det, zero_exp
 from .series import (
     Ambient,
     Series,
@@ -55,8 +56,8 @@ def multiplicities(f: Series):
 
 @dataclass(frozen=True)
 class ParameterSystem:
-    """J(Phi), ``jacobian``, depends on the system alone: it is built at
-    its first read and kept outside eq and hash, so later reads skip it."""
+    """J(Phi), ``jacobian``, and ``wedge`` depend on the system alone: each
+    is built at its first read and kept outside eq and hash."""
 
     members: tuple  # n Series
     leading: tuple  # per member (a, g, tail)
@@ -65,6 +66,25 @@ class ParameterSystem:
     @cached_property
     def jacobian(self) -> Series:
         return jacobian(self.members)
+
+    @cached_property
+    def wedge(self):
+        """(c, v, N, e), N a tuple of factors, with dlog Phi_1 ^ ... ^
+        dlog Phi_n = c X^v N / (Phi_1...Phi_n)^e dlog X.  Exact members with
+        X_1...X_n J(Phi) = c X^v Phi_1...Phi_n term for term (the same key
+        count, one shift v between the least keys, one ratio c) take the
+        dlog side, N = () and e = 0; any other system the X^-1 slab."""
+        split, fld = self.ambient.split, self.ambient.field
+        ones = (0,) * split.m + (1,) * split.n
+        if all(f.box is None for f in self.members):
+            xj = self.jacobian.shift(ones).coeffs
+            prod = _mul_chain(self.members, None).coeffs
+            lx, lp = map(self.ambient.order.min, (xj, prod))
+            v, c = exp_sub(lx, lp), fld.coerce(xj[lx] * fld.inv(prod[lp]))
+            if len(xj) == len(prod) and not any(split.h_part(v)) and all(
+                    xj.get(exp_add(g, v)) == fld.coerce(c * a) for g, a in prod.items()):
+                return c, split.var_part(v), (), 0
+        return 1, split.var_part(ones), (self.jacobian,), 1
 
     @property
     def ambient(self) -> Ambient:
@@ -135,67 +155,58 @@ def residue(fr: GeneralizedFraction) -> Series:
 def _default_working_box(p: ParameterSystem, idx) -> Box:
     """Symmetric box sized from the member supports and requested index;
     only its H coordinates bound the read."""
-    k = p.ambient.k
-    reach = 0
+    k, r = p.ambient.k, 2
     for (a, g, tail), i in zip(p.leading, idx):
-        span = max((abs(v) for v in g), default=0)
-        for e in tail.coeffs:
-            span = max(span, max((abs(v) for v in e), default=0))
-        reach += (abs(i) + 1) * (span + 1)
-    r = 2 + reach
+        span = max(map(abs, itertools.chain(g, *tail.coeffs)), default=0)
+        r += (abs(i) + 1) * (span + 1)
     return Box((-r,) * k, (r,) * k)
 
 
-def jacobi_coefficient(psi: Series, p: ParameterSystem, idx,
-                       working_box=None) -> Series:
-    """H-coefficient of psi at Phi^idx, extracted as the residue of
-    psi * Phi^(-idx) * dlog Phi_1 ^ ... ^ dlog Phi_n over the parameters
-    by one ``_read_quotient``, with no retry: psi and J(Phi) enter its
-    chain as two numerators, so psi J(Phi) is never formed whole.  J(Phi)
-    is ``p.jacobian``, built once per system: the reads of ``p`` after
-    its first skip the build, and one read of a fresh system gains nothing.  The
-    working box bounds only the H coordinates of the read; the variable
-    coordinates are pinned to the X^-1 slab that the residue reads."""
+def jacobi_coefficient(psi, p: ParameterSystem, idx, working_box=None) -> Series:
+    """H-coefficient of psi at Phi^idx, the residue of psi * Phi^(-idx) *
+    dlog Phi_1 ^ ... ^ dlog Phi_n, by one ``_jacobi_in_box`` and no retry.
+    psi is a Series or a sequence of factor Series, never multiplied whole.
+    The system's cached ``wedge`` picks the read: psi Phi^-idx at X^-v on
+    the dlog side, else psi J(Phi) Phi^-(idx+1) on the X^-1 slab.  The
+    working box bounds only the H coordinates of the read."""
     idx = tuple(idx)
     if len(idx) != p.n:
         raise DimensionMismatch(f"index length {len(idx)} != {p.n}")
     _check_box(p.ambient, working_box)
     if working_box is None:
         working_box = _default_working_box(p, idx)
-    return _jacobi_in_box([psi, p.jacobian], p, idx, working_box)
+    psi = [psi] if isinstance(psi, Series) else list(psi)
+    return _jacobi_in_box(psi, p, idx, working_box)
 
 
-def _read_quotient(nums, dens, box) -> Series:
-    """prod nums / prod dens, known in ``box``, with no cone certificate:
-    its callers read coefficients alone.  The product of ``dens`` is
-    inverted once, in ``box`` less the summed extents of ``nums``, which
-    holds every point of the inverse that the numerators can carry into
-    ``box``; one ``_chain_terms`` then multiplies the inverse by ``nums``
-    in turn, aimed at ``box`` unless every factor is exact, so that an
-    exact quotient stays exact everywhere, and builds no cone on the way."""
-    factors = list(nums)
+def _jacobi_in_box(psi, p: ParameterSystem, idx, working_box: Box) -> Series:
+    """c/det times the H-coefficient at X^-v, over the working box's H range,
+    of psi's factors, N and the Phi_l^-(i_l+e) with i_l + e < 0 over the
+    Phi_l^(i_l+e) with i_l + e > 0, for the wedge (c, v, N, e) of ``p``.
+    The denominators' product is inverted once, in the read box less the
+    numerators' summed extents, where it holds every point they can carry
+    into the read box; one ``_chain_terms``, aimed there unless every factor
+    is exact (an exact quotient stays exact), multiplies in the numerators
+    and builds no cone."""
+    m, fld = p.ambient.split.m, p.ambient.field
+    c, v, wedge_nums, e = p.wedge
+    nums = [*psi, *wedge_nums,
+            *(power(f, -i - e) for f, i in zip(p.members, idx) if i + e < 0)]
+    dens = [power(f, i + e) for f, i in zip(p.members, idx) if i + e > 0]
+    at = exp_neg(v)
+    box = Box(working_box.lo[:m] + at, working_box.hi[:m] + at)
     if dens:
         lo, hi = list(box.lo), list(box.hi)
         for h in nums:
-            for c, (a, b) in enumerate(_extents(h)):
-                lo[c] -= b
-                hi[c] -= a
-        factors.insert(0, invert(_mul_chain(dens, None), Box(tuple(lo), tuple(hi))))
+            for k, (a, b) in enumerate(_extents(h)):
+                lo[k] -= b
+                hi[k] -= a
+        nums.insert(0, invert(_mul_chain(dens, None), Box(tuple(lo), tuple(hi))))
+    factors = nums or [p.ambient.one()]
     exact = all(f.box is None for f in factors)
     coeffs, known, _ = _chain_terms(factors, None if exact else box)
-    return Series(factors[0].ambient, coeffs, known, None)
-
-
-def _jacobi_in_box(nums, p: ParameterSystem, idx, working_box: Box) -> Series:
-    """dlog Phi_1 ^ ... ^ dlog Phi_n = J(Phi) / (Phi_1...Phi_n) dX, so the
-    residue reads the X^-1 slab, over the working box's H range, of the
-    quotient of ``nums`` (psi and J(Phi)) and the members' powers
-    Phi_l^-(i_l+1) with i_l <= -2 by those Phi_l^(i_l+1) with i_l >= 0."""
-    m, n = p.ambient.split.m, p.n
-    nums = [*nums, *(power(f, -i - 1) for f, i in zip(p.members, idx) if i < -1)]
-    dens = [power(f, i + 1) for f, i in zip(p.members, idx) if i >= 0]
-    slab = Box(working_box.lo[:m] + (-1,) * n, working_box.hi[:m] + (-1,) * n)
-    return residue(GeneralizedFraction(NForm(_read_quotient(nums, dens, slab)), p))
+    read = h_coefficient_at(Series(p.ambient, coeffs, known, None), at)
+    return read.scale(fld.coerce(c * fld.inv(p.det)))
 
 
 def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:
@@ -213,19 +224,20 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     split = psi.split
     order = psi.order
     fld = psi.field
-    lo, hi = idx_box
-    lo, hi = tuple(lo), tuple(hi)
+    lo, hi = map(tuple, idx_box)
     if len(lo) != p.n or len(hi) != p.n:
         raise DimensionMismatch(f"index bounds must have length {p.n}")
     _check_box(p.ambient, working_box)
 
-    # H-offsets: the h range of psi's support shifted by the base exponents
-    base = {}
+    # H-offsets: the h range of psi's support shifted by the base exponents;
+    # the leading constant of Phi^idx with each
+    base, lead_consts = {}, {}
     for idx in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        b = zero_exp(order.k)
+        b, c = zero_exp(order.k), 1
         for (a, g, tail), i in zip(p.leading, idx):
             b = exp_add(b, tuple(i * v for v in g))
-        base[idx] = b
+            c = fld.coerce(c * fld.power(a, i))
+        base[idx], lead_consts[idx] = b, c
     out_box = h_box(psi)
     if split.m:
         hlo, hhi = map(list, zip(*_extents(psi)[:split.m]))
@@ -268,18 +280,10 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                     powers[j] = mul(powers[j - 1], one_plus)
         return _mul_chain([powers[i] for (_, powers), i in zip(member_powers, idx)], None)
 
-    lead_consts = {}
-    for idx in base:
-        c = 1
-        for (a, g, tail), i in zip(p.leading, idx):
-            c = fld.coerce(c * fld.power(a, i))
-        lead_consts[idx] = c
-
     solved = {}  # x -> scalar a_x
     for x in order.sorted(candidates):
         idx, h = candidates[x]
-        b_x = psi.coefficient_at(x)
-        acc = b_x
+        acc = psi.coefficient_at(x)
         for y, ay in solved.items():
             if ay == 0:
                 continue
@@ -290,16 +294,12 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                 acc = acc - ay * lead_consts[idx_y] * c
         solved[x] = fld.coerce(acc * fld.inv(lead_consts[idx]))
 
-    result = {}
-    for idx in base:
-        coeffs = {}
-        for x, (idx_x, h) in candidates.items():
-            if idx_x == idx and solved[x] != 0:
-                if out_box is not None and not out_box.contains(h):
-                    continue
-                coeffs[h] = solved[x]
-        result[idx] = Series(psi.ambient, coeffs, out_box, None)
-    return result
+    result = {idx: {} for idx in base}
+    for x, (idx, h) in candidates.items():
+        if solved[x] != 0 and (out_box is None or out_box.contains(h)):
+            result[idx][h] = solved[x]
+    return {idx: Series(psi.ambient, coeffs, out_box, None)
+            for idx, coeffs in result.items()}
 
 
 def fraction_to_json(fr: GeneralizedFraction) -> dict:

@@ -86,11 +86,11 @@ class Ambient:
         return self.monomial(1, tuple(power * v for v in u))
 
     def series(self, coeffs, box=None, cone=None) -> "Series":
+        """Every term must lie in the box, the cone's bounds and its offset
+        + N-span(generators), or OutsideBox names it."""
         _check_box(self, box)
-        if cone is not None and any(len(v) != self.k for v in (
-                cone.offset, cone.bounds, *cone.generators)):
-            raise DimensionMismatch(
-                f"cone offset, bounds and generators need length {self.k}")
+        if cone is not None and len(cone.offset) != self.k:
+            raise DimensionMismatch(f"cone offset needs length {self.k}")
         clean = {}
         for g, c in coeffs.items():
             if len(g := tuple(g)) != self.k:
@@ -104,6 +104,8 @@ class Ambient:
                     v < lo or v > hi for v, (lo, hi) in zip(g, cone.bounds)):
                 raise OutsideBox(f"term {g} lies outside the cone bounds")
             clean[g] = c
+        if cone is not None and clean and (g := _outside_cone(self, cone, clean)):
+            raise OutsideBox(f"term {g} lies outside the cone")
         return Series(self, clean, box, cone)
 
 
@@ -250,6 +252,21 @@ def _extents(f: Series):
     if f.box is not None:
         return list(zip(f.box.lo, f.box.hi))
     return _key_extents(f.coeffs) if f.coeffs else [(0, 0)] * f.order.k
+
+
+def _outside_cone(ambient: Ambient, cone: Cone, keys):
+    """The first of ``keys`` outside offset + N-span(generators), else None:
+    ``_domain`` walks from the offset, by at most ``power_exhaustion_bound``
+    generators (NonPositiveSupportElement if one is not), into their hull."""
+    rel = {g: exp_sub(g, cone.offset) for g in keys}
+    gens = Series(ambient, dict.fromkeys(cone.generators, 1), None, None)
+    hull = Box(*zip(*_key_extents(rel.values())))
+    i_max, _, _, pk, reach = _reach_setup(gens, hull, math.inf)
+    origin, inbox = pk.pack(zero_exp(ambient.k)), reach(0)
+    steps = [*map(pk.step, gens.coeffs)]
+    walked = [origin, *_domain(origin, steps, reach, inbox, i_max, pk.guard)] if inbox else []
+    reached = set(map(pk.unpack, walked))
+    return next((g for g, r in rel.items() if r not in reached), None)
 
 
 def _stored_cut(box, bounds, olo, ohi, lo=None, hi=None):
@@ -466,10 +483,8 @@ def h_coefficient_at(f: Series, monomial_exps) -> Series:
     j = tuple(monomial_exps)
     if len(j) != split.n:
         raise DimensionMismatch(f"expected {split.n} monomial exponents, got {len(j)}")
-    if f.box is not None:
-        for i, ji in enumerate(j):
-            if not (f.box.lo[split.m + i] <= ji <= f.box.hi[split.m + i]):
-                raise OutsideBox(f"variable slice {j} is outside the box")
+    if f.box is not None and not Box(*map(split.var_part, (f.box.lo, f.box.hi))).contains(j):
+        raise OutsideBox(f"variable slice {j} is outside the box")
     zeros = (0,) * split.n
     coeffs = {}
     for g, c in f.coeffs.items():
@@ -536,4 +551,4 @@ def series_from_json(data: dict) -> Series:
 
 # powers.py builds on this module, so it comes last; its public names are
 # series operations too, and Series.__pow__ calls power
-from .powers import invert, log1p, power, substitute  # noqa: E402
+from .powers import _domain, _reach_setup, invert, log1p, power, substitute  # noqa: E402

@@ -205,6 +205,16 @@ def test_make_cone_drops_zero_and_duplicates():
         make_cone(G1, (0, 0, 0), [(1, 0)])
 
 
+def test_cone_refuses_parts_of_another_length():
+    """A generator or the bounds of another length than the offset is a
+    DimensionMismatch where the cone is built, not an IndexError or bounds
+    cut short to the offset's length."""
+    for parts in (((0,), ((1, 1),)), ((0, 0), ((1,),), ((0, 5),)),
+                  ((0, 0), ((1, 0),), ((0, 5),))):
+        with pytest.raises(DimensionMismatch):
+            Cone(*parts)
+
+
 def test_certify_cone_below():
     # all cone points below (2,0) are inside the box
     c = Cone((0, 0), ((1, 0),))

@@ -23,7 +23,7 @@ from gpseries.identities import (
     wilson_wedge_check,
 )
 from gpseries.residues import is_regular, jacobi_coefficient
-from gpseries.series import _extents, add, mul, power
+from gpseries.series import _extents, _mul_chain, add, factorize, mul, power
 
 # frozen oracle: constant terms of prod_{i != j} (1 - X_i/X_j)^{a_i},
 # brute-forced by expanding the rational function symbolically
@@ -202,6 +202,26 @@ def test_egorychev_through_jacobi_coefficient():
             expect //= math.factorial(x)
         got = jacobi_coefficient(power(delta, sum(a)), p, a)
         assert got.coeffs == {(0, 0, 0): expect}, a
+
+
+def test_generic_egorychev_read_divides_by_one_power(monkeypatch):
+    """The generic read of Delta^4 at Upsilon^(1,1,1,1), n = 4, takes the
+    dlog side: it inverts prod Upsilon_l, whose tail has 200 keys, not
+    prod Upsilon_l^2 (a tail of 1,258 keys), and J(Upsilon) is no factor
+    of its chain."""
+    p = egorychev_parameters(4)
+    inverted, chains = [], []
+    real_invert, real_chain = residues.invert, residues._chain_terms
+    monkeypatch.setattr(residues, "invert", lambda f, box: (
+        inverted.append(f) or real_invert(f, box)))
+    monkeypatch.setattr(residues, "_chain_terms", lambda factors, box: (
+        chains.append(list(factors)) or real_chain(factors, box)))
+    got = jacobi_coefficient(power(reduce(add, p.members), 4), p, (1, 1, 1, 1))
+    assert got.coeffs == {(0, 0, 0, 0): 24}
+    [f], [factors] = inverted, chains
+    assert f.eq_within(_mul_chain(p.members, None))
+    assert len(factorize(f)[2].coeffs) == 200
+    assert not any(g is p.jacobian for g in factors)
 
 
 def test_numerator_extents_are_total_times_delta_extents():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gpseries import Box, PrimeField, QQ, exponents, parse_order, residues, series
+from gpseries import Box, PrimeField, QQ, exponents, identities, parse_order, residues, series
 from gpseries.calculus import DLOGX, NForm, dlog_wedge, jacobian, series_det, wedge
 from gpseries.errors import (
     DimensionMismatch,
@@ -34,6 +34,7 @@ from gpseries.residues import (
 )
 from gpseries.series import series_from_json
 from gpseries.series import (
+    _mul_chain,
     add,
     h_coefficient_at,
     invert,
@@ -549,18 +550,25 @@ def test_jacobi_apart_agrees_with_the_whole_product(case):
     """For a truncated psi, the read with psi and J(Phi) apart answers
     where the read of the whole product psi J(Phi) answers, on a box at
     least as wide and with the same coefficients, and refuses where it
-    refuses (the error type may differ)."""
+    refuses (the error type may differ).  The whole read is the same
+    system with J(Phi) taken out of its wedge and put into psi."""
     p, (pu, u), box, idx = case
     try:
         psi = mul(pu, invert(u, box))
     except GPSeriesError:
         assume(False)  # psi itself has no certified box
-    jac = jacobian(p.members)
+    c, v, wedge_nums, e = p.wedge
+    assume(e == 1)  # a slab system: J(Phi) is a factor of its reads
+    jac = p.jacobian
+    assert wedge_nums == (jac,)
+    bare = ParameterSystem(p.members, p.leading, p.det)
+    bare.__dict__["wedge"] = (c, v, (), e)
 
     def read(whole):
         try:
-            nums = [mul(psi, jac)] if whole else [psi, jac]
-            return residues._jacobi_in_box(nums, p, idx, _default_working_box(p, idx))
+            if whole:
+                return jacobi_coefficient(mul(psi, jac), bare, idx)
+            return jacobi_coefficient(psi, p, idx)
         except GPSeriesError as e:
             return e
 
@@ -569,7 +577,6 @@ def test_jacobi_apart_agrees_with_the_whole_product(case):
     if not isinstance(ref, GPSeriesError):
         assert ref.box is None or got.box.contains_box(ref.box)
         assert got.eq_within(ref)
-        assert got.eq_within(jacobi_coefficient(psi, p, idx))
 
 
 def test_jacobi_chain_builds_no_cone(monkeypatch):
@@ -701,7 +708,11 @@ def test_aimed_powers_on_other_shapes(field, monkeypatch):
             assert got.eq_within(_full_chain(psi, p, idx, box)), idx
             wide = jacobi_coefficient(psi, p, idx, Box(
                 tuple(2 * v for v in box.lo), tuple(2 * v for v in box.hi)))
-            assert wide.box.contains_box(got.box) and got.eq_within(wide)
+            if got.box is None:  # a dlog-side read that divides by nothing
+                assert p.wedge[3] == 0 and not any(i > 0 for i in idx)
+                assert wide.box is None and wide.coeffs == got.coeffs
+            else:
+                assert wide.box.contains_box(got.box) and got.eq_within(wide)
 
 
 def test_jacobi_reach_that_misses_the_working_box(monkeypatch):
@@ -739,6 +750,73 @@ def test_jacobi_members_unbounded_opposite_ways(field):
                           mul(x2, one + x1 + x2)])
     got = jacobi_coefficient(one, p, (0, 0))
     assert got.coeffs == {(0, 0): 1} and got.box == Box((0, 0), (0, 0))
+
+
+def _slab_read(psi, p, idx):
+    """The read of psi at Phi^idx on the X^-1 slab, psi J(Phi)
+    Phi^-(idx+1), whatever the system's wedge: the same members with the
+    slab's wedge put in its place."""
+    slab = ParameterSystem(p.members, p.leading, p.det)
+    slab.__dict__["wedge"] = (1, (1,) * p.n, (p.jacobian,), 1)
+    return jacobi_coefficient(psi, slab, idx)
+
+
+@st.composite
+def _dlog_side_reads(draw):
+    """Over Q or F_5, a system on the dlog side, each member rescaled by a
+    unit: Egorychev's Upsilon at n = 2 or 3, or monomials t^h X^row with
+    det(rows) = +-1 or +-2, with m = 0 or 1.  Then a psi planted at indices
+    in {0,1}^n and an index to read."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    n = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        order = identities._egorychev_ambient(n).order
+        amb = make_ambient(n, order=order, field=field)
+        members = [identities._upsilon(amb, i) for i in range(1, n + 1)]
+    else:
+        m = draw(st.sampled_from([0, 1]))
+        amb = make_ambient(n, m=m, field=field)
+        rows = random_unimodular(rng, n)
+        if draw(st.booleans()):
+            rows[0] = tuple(2 * v for v in rows[0])
+        members = [amb.monomial(1, tuple(rng.randint(-1, 1) for _ in range(m)) + row)
+                   for row in rows]
+    members = [f.scale(rng.choice((1, 2, -1, 3))) for f in members]
+    grid = list(itertools.product(range(2), repeat=n))
+    planted = {idx: rng.choice((1, 2, -1, 3, -3))
+               for idx in rng.sample(grid, rng.randint(1, 3))}
+    psi = amb.zero()
+    for idx, c in planted.items():
+        psi = add(psi, _mul_chain([amb.constant(c), *map(power, members, idx)], None))
+    others = [(-1,) + (0,) * (n - 1), (2,) + (1,) * (n - 1)]
+    return members, psi, planted, draw(st.sampled_from(grid + others))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dlog_side_reads())
+def test_dlog_side_read_agrees_with_the_slab(case):
+    """A system whose wedge is c X^v dlog X reads psi Phi^-idx at X^-v and
+    divides by no extra power of the members.  Its answer is the planted
+    coefficient, and it agrees with the slab read of the same members and,
+    for monomial members, with the whole chain."""
+    members, psi, planted, idx = case
+    p = check_parameters(members)
+    c, v, wedge_nums, e = p.wedge
+    assert (c, v, wedge_nums, e) == (p.ambient.field.coerce(p.det), (0,) * p.n, (), 0)
+    got = jacobi_coefficient(psi, p, idx)
+    zero = (0,) * p.ambient.k
+    want = p.ambient.field.coerce(planted.get(idx, 0))
+    assert got.coeffs == ({zero: want} if want else {}), idx
+    # exact where it divides by nothing, or by monomials alone
+    monomials = all(len(f.coeffs) == 1 for f in members)
+    assert (got.box is None) == (monomials or all(i <= 0 for i in idx))
+    slab = _slab_read(psi, p, idx)
+    assert got.box is None or got.box.contains_box(slab.box)
+    assert got.eq_within(slab)
+    if monomials:
+        full = _full_chain(psi, p, idx, _full_box(p, idx))
+        assert full.box is None and full.coeffs == got.coeffs
 
 
 def test_fraction_json_round_trip():

@@ -353,18 +353,39 @@ def test_monomial_refuses_an_exponent_of_the_wrong_length():
 
 def test_series_refuses_a_cone_of_the_wrong_dimension():
     """A cone given to Ambient.series has one coordinate per coordinate of
-    G in its offset, its bounds and each generator.  Cone keeps only as
-    many bounds as its offset has coordinates, so short bounds are caught
-    here too."""
+    G in its offset, its bounds and each generator.  Cone itself refuses
+    bounds or a generator of another length than its offset, so short
+    bounds are caught where the cone is built."""
     amb, box = make_ambient(1), Box((0,), (3,))
     with pytest.raises(DimensionMismatch):
         amb.series({(1,): 1}, box=box,
                    cone=Cone((0, 0), ((1, 0),), ((0, 5), (0, 5))))
-    for cone in (Cone((0, 0), ((1,),)), Cone((0, 0), ((1, 0),), ((0, 5),))):
+    for parts in (((0, 0), ((1,),)), ((0, 0), ((1, 0),), ((0, 5),))):
         with pytest.raises(DimensionMismatch):
-            make_ambient(2).series({(1, 1): 1}, cone=cone)
+            make_ambient(2).series({(1, 1): 1}, cone=Cone(*parts))
     assert amb.series({(1,): 1}, box=box, cone=Cone((0,), ((1,),), ((0, 5),))
                       ).cone.bounds == ((0, 5),)
+
+
+def test_series_refuses_a_cone_its_terms_contradict():
+    """1 + X on 0..10 with the cone 0 + N(2,): X lies outside it, and a
+    trusted cone let invert and power(f, -2) certify 0 at 6..10.  Every
+    stored term is walked to from the offset, so the term is named where
+    the series is built, from JSON too, and a generator that is not
+    positive is refused once a term must be walked to."""
+    amb, box = make_ambient(1), Box((0,), (10,))
+    with pytest.raises(OutsideBox, match=r"^term \(1,\) lies outside the cone$"):
+        amb.series({(0,): 1, (1,): 1}, box=box, cone=Cone((0,), ((2,),)))
+    f = amb.series({(0,): 1, (2,): 1}, box=box, cone=Cone((0,), ((2,),)))
+    assert invert(f, box).coeffs == {(2 * i,): (-1) ** i for i in range(6)}
+    data = series_to_json(f)
+    data["terms"].append({"exp": [5], "coeff": "1"})
+    with pytest.raises(OutsideBox, match=r"^term \(5,\) lies outside the cone$"):
+        series_from_json(data)
+    amb2 = make_ambient(2)
+    with pytest.raises(NonPositiveSupportElement):
+        amb2.series({(1, -1): 1}, box=Box((0, -3), (3, 3)),
+                    cone=Cone((0, 0), ((1, 0), (0, -1))))
 
 
 def test_uncertain_leading_term_names_its_cause(monkeypatch):
@@ -785,8 +806,9 @@ def test_one_packing_per_chain(monkeypatch):
         counts.append((len(factors), len(made)))
         return out
 
-    monkeypatch.setattr(residues, "_chain_terms", counted)  # _read_quotient's chain
-    assert identities._egorychev_lhs(identities.DysonInstance((1, 1, 1, 1))) == 24
+    monkeypatch.setattr(residues, "_chain_terms", counted)  # the Jacobi read's chain
+    inst = identities.DysonInstance((1, 1, 1, 1))
+    assert identities.dyson_verify(inst, "egorychev") == (24, 24, True)
     assert counts == [(5, 1)]
 
 
