@@ -153,16 +153,8 @@ def wedge(forms, basis_mode: str = DX) -> NForm:
 
 
 def jacobian(fs) -> Series:
-    """det(partial f_i / partial X_j)."""
-    fs = list(fs)
-    if not fs:
-        raise IncompatibleAmbient("no series given")
-    ambient = fs[0].ambient
-    n = ambient.split.n
-    if len(fs) != n:
-        raise IncompatibleAmbient(f"need {n} series, got {len(fs)}")
-    rows = [[partial(f, j) for j in range(1, n + 1)] for f in fs]
-    return series_det(rows)
+    """det(partial f_i / partial X_j), the dX coefficient of df_1 ^ ... ^ df_n."""
+    return wedge([differential(f) for f in fs]).coeff
 
 
 def dlog_wedge(fs, target_box=None) -> NForm:

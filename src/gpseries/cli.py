@@ -399,7 +399,7 @@ def _cmd_represent(args, cfg):
     _check_count("--degrees", degrees[0], cfg)
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
-    coeffs = represent(psi, params, degrees, cfg.box)
+    coeffs = represent(psi, params, degrees)
     if args.json:
         print(json.dumps({",".join(str(i) for i in idx): series_to_json(s)
                           for idx, s in sorted(coeffs.items())}))

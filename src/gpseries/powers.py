@@ -14,7 +14,7 @@ from itertools import accumulate, count, repeat
 
 from .errors import BoxUnderflow, NotPositive, PositiveCharacteristic, ZeroSeries
 from .exponents import Box, Cone, exp_add, exp_neg, power_exhaustion_bound, zero_exp
-from .packing import _Packing, _pair_loop, _prefix_hull
+from .packing import _Packing, _pair_loop, _prefix_hull, _within
 from .series import (
     Series,
     _check_box,
@@ -108,7 +108,6 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     zero = zero_exp(f.order.k)
     shift = zero if shift is None else shift
     i_max, box, elems, pk, reach = _reach_setup(f, box, i_cap)
-    guard = pk.guard
     base, fden = fld.integral(f.coeffs)
     step = [(pk.step(g), c) for g, c in base.items()]
     inbox = reach(0)
@@ -124,7 +123,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
         # where the i-th power must lie to still reach the box
         if box is not None and not (window := reach(i_max - i)):
             break
-        pw = fld.reduce(_pair_loop(pw.items(), step, window, guard))
+        pw = fld.reduce(_pair_loop(pw.items(), step, window))
         if not pw:
             break
         pden *= fden
@@ -138,10 +137,8 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
             get = acc.get
             den *= m
         m = ci.numerator * (den // d)
-        low, high = inbox
-        for s, v in pw.items():
-            if (s + low) & guard == guard and (high - s) & guard == guard:
-                acc[s] = get(s, 0) + m * v
+        for s in _within(pw, inbox):
+            acc[s] = get(s, 0) + m * pw[s]
     pk.lo = exp_add(pk.lo, shift)
     unpack = pk.unpack
     coeffs = {unpack(s): c for s, c in fld.reduce(acc, den).items()}
@@ -151,7 +148,7 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     return Series(f.ambient, coeffs, box.shift(shift), Cone(shift, tuple(elems)))
 
 
-def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
+def _domain(origin, steps, reach, inbox, i_max) -> list:
     """The packed points other than ``origin`` that lie on a path of at
     most i_max ``steps`` from ``origin`` into the box, whose window
     ``inbox`` is ``reach(0)``; unordered.
@@ -159,28 +156,20 @@ def _domain(origin, steps, reach, inbox, i_max, guard) -> list:
     Walked forward level by level, a point first met after j steps is kept
     if it lies in ``reach(i_max - j)``: a path into the box passes there
     after j steps, and a point met first at a lower level lies in a wider
-    window.  Each sum tested is a kept point plus one key, so the masked
-    compares test it exactly, as in ``_pair_loop``.  Then, unless
-    every point met is in the box, walked back from the box through the
-    points met; ``s - y`` of a packed s is packed again only if the
-    difference lies in the packing box."""
+    window.  Each level is ``_pair_loop``'s sums of a kept point and one
+    key, less those already met.  Then, unless every point met is in the
+    box, walked back from the box through the points met; ``s - y`` of a
+    packed s is packed again only if the difference lies in the packing
+    box."""
     seen = {origin}
     level = [origin]
+    moves = [(y, 0) for y in steps]
     for t in range(i_max - 1, -1, -1):
         if not level or not (window := reach(t) if t else inbox):
             break
-        low, high = window
-        nxt = []
-        for x in level:
-            for y in steps:
-                z = x + y
-                if (z + low) & guard == guard and (high - z) & guard == guard \
-                        and z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        level = nxt
-    low, high = inbox
-    need = [s for s in seen if (s + low) & guard == guard and (high - s) & guard == guard]
+        level = [z for z in _pair_loop(zip(level, repeat(0)), moves, window) if z not in seen]
+        seen.update(level)
+    need = _within(seen, inbox)
     if len(need) < len(seen):
         rest = seen.difference(need)
         for s in need:  # need grows as it is walked
@@ -214,8 +203,7 @@ def _invert(tail: Series, box, scale, shift) -> Series:
         return Series(tail.ambient, {}, box.shift(shift), cone)
     origin = pk.pack(zero_exp(order.k))
     steps = [(pk.step(g), c) for g, c in tail.coeffs.items()]
-    guard = pk.guard
-    domain = _domain(origin, [y for y, _ in steps], reach, inbox, i_max, guard)
+    domain = _domain(origin, [y for y, _ in steps], reach, inbox, i_max)
     if all(y > 0 for y, _ in steps):  # every key then steps up in packed order
         domain.sort()
     else:
@@ -232,9 +220,7 @@ def _invert(tail: Series, box, scale, shift) -> Series:
             v %= p
         if v:
             r[s] = v
-    low, high = inbox
-    coeffs = {s: scale * v for s, v in r.items()
-              if (s + low) & guard == guard and (high - s) & guard == guard}
+    coeffs = {s: scale * r[s] for s in _within(r, inbox)}
     pk.lo = exp_add(pk.lo, shift)
     coeffs = {pk.unpack(s): c for s, c in fld.reduce(coeffs).items()}
     return Series(tail.ambient, coeffs, box.shift(shift), cone)

@@ -209,15 +209,17 @@ def _jacobi_in_box(psi, p: ParameterSystem, idx, working_box: Box) -> Series:
     return read.scale(fld.coerce(c * fld.inv(p.det)))
 
 
-def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dict:
+def represent(psi: Series, p: ParameterSystem, idx_box) -> dict:
     """Coefficients phi_idx in kappa[[e^H]] with psi = sum phi_idx Phi^idx,
     for a regular parameter system, over the index ranges ``idx_box``
     (a pair (lo, hi) of n-tuples).
 
     Solved by one ascending pass over candidate exponents in the group
     order: each candidate is hit exactly once as the leading exponent of
-    e^h Phi^idx, so its unknown is determined by earlier ones.  For m > 0
-    each phi_idx is exact on the H range solved, cut to psi's box.
+    e^h Phi^idx, so its unknown is determined by earlier ones.  The units
+    are read only at differences of candidates, whose box bounds their
+    negative powers.  For m > 0 each phi_idx is exact on the H range
+    solved, cut to psi's box.
     """
     if not is_regular(p):
         raise NotRegular(f"multiplicity determinant is {p.det}, not a unit")
@@ -227,7 +229,6 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
     lo, hi = map(tuple, idx_box)
     if len(lo) != p.n or len(hi) != p.n:
         raise DimensionMismatch(f"index bounds must have length {p.n}")
-    _check_box(p.ambient, working_box)
 
     # H-offsets: the h range of psi's support shifted by the base exponents;
     # the leading constant of Phi^idx with each
@@ -260,12 +261,10 @@ def represent(psi: Series, p: ParameterSystem, idx_box, working_box=None) -> dic
                 raise NotRegular("candidate exponents collide; system degenerate")
             candidates[x] = (idx, h)
 
-    # units U_idx = prod (1 + tail_l)^{i_l}, expanded where differences live
-    if working_box is None:
-        # per coordinate, x - y ranges over [min - max, max - min]
-        ext = _key_extents(candidates)
-        working_box = Box(tuple(a - b for a, b in ext),
-                          tuple(b - a for a, b in ext))
+    # units U_idx = prod (1 + tail_l)^{i_l}, expanded where differences
+    # live: per coordinate, x - y ranges over [min - max, max - min]
+    ext = _key_extents(candidates)
+    working_box = Box(tuple(a - b for a, b in ext), tuple(b - a for a, b in ext))
     member_powers = [(add(tail.ambient.one(), tail), {0: tail.ambient.one()})
                      for (a, g, tail) in p.leading]
 

@@ -264,7 +264,7 @@ def _outside_cone(ambient: Ambient, cone: Cone, keys):
     i_max, _, _, pk, reach = _reach_setup(gens, hull, math.inf)
     origin, inbox = pk.pack(zero_exp(ambient.k)), reach(0)
     steps = [*map(pk.step, gens.coeffs)]
-    walked = [origin, *_domain(origin, steps, reach, inbox, i_max, pk.guard)] if inbox else []
+    walked = [origin, *_domain(origin, steps, reach, inbox, i_max)] if inbox else []
     reached = set(map(pk.unpack, walked))
     return next((g for g, r in rel.items() if r not in reached), None)
 
@@ -415,7 +415,7 @@ def _chain_terms(factors, box):
     scaled = {h: fld.integral(h.coeffs) for h in dict.fromkeys(rest)}
     packed = {h: ([*zip(map(pk.step, m), m.values())], d)
               for h, (m, d) in scaled.items()}
-    fbox, b1, guard = f.box, bounds[f], pk.guard  # the partial product's box, bounds
+    fbox, b1 = f.box, bounds[f]  # the partial product's box, bounds
     for i, (g, (rlo, rhi)) in enumerate(zip(rest, reach)):
         (ys, d), b2 = packed[g], bounds[g]
         target = box if i == len(rest) - 1 else None
@@ -426,7 +426,7 @@ def _chain_terms(factors, box):
                 raise BoxUnderflow(
                     "target box lies outside the certified product box") from None
         window = pk.window([*map(max, target.lo, rlo)], [*map(min, target.hi, rhi)])
-        acc = fld.reduce(_pair_loop(acc.items(), ys, window, guard)) if window else {}
+        acc = fld.reduce(_pair_loop(acc.items(), ys, window)) if window else {}
         den *= d
         fbox, b1 = target, [(l1 + l2, u1 + u2) for (l1, u1), (l2, u2) in zip(b1, b2)]
     return {pk.unpack(s): c for s, c in fld.reduce(acc, den).items()}, fbox, [f, *rest]

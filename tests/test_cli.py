@@ -1,10 +1,14 @@
+import io
 import json
 import math
 import random
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpseries import cli
 from gpseries.cli import (
@@ -409,3 +413,79 @@ def test_config_box_dimension_check():
                              "field": "q", "box": "0..1"})
     with pytest.raises(FlagError, match="--box"):
         config_from_args(ap_args)
+
+
+# -- grammar fuzz ----------------------------------------------------------
+
+@st.composite
+def _fuzz_exprs(draw, names, depth=4):
+    """An expression of the documented grammar at most ``depth`` operations
+    deep over the variables ``names``: small ints, ``p/q`` literals, the
+    four operators, unary minus and exponents in -2..3."""
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "neg", "atom"])) if depth else "atom"
+    if kind == "atom":
+        return draw(st.one_of(
+            st.sampled_from(names), st.integers(0, 9).map(str),
+            st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9))))
+    sub = _fuzz_exprs(names, depth - 1)
+    if kind == "^":
+        return f"({draw(sub)})^{draw(st.integers(-2, 3))}"
+    if kind == "neg":
+        return f"-({draw(sub)})"
+    return f"({draw(sub)}{kind}{draw(sub)})"
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """(argv of an eval, ct or coeff run, its --box as (lo, hi) pairs or None)."""
+    names = draw(st.sampled_from([("X",), ("X", "Y")]))
+    cmd = draw(st.sampled_from(["eval", "ct", "coeff"]))
+    argv = [cmd, draw(_fuzz_exprs(names)), "--vars", ",".join(names),
+            "--field", draw(st.sampled_from(["q", "fp:5"]))]
+    if cmd == "coeff":
+        argv += ["--at", ",".join(str(draw(st.integers(-2, 3))) for _ in names)]
+    box = draw(st.none() | st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 6)),
+                                    min_size=len(names), max_size=len(names)))
+    if box is not None:
+        box = [(lo, lo + d) for lo, d in box]
+    return argv, box
+
+
+def _run_quietly(argv):
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def _box_flag(box):
+    return "--box=" + ",".join(f"{lo}..{hi}" for lo, hi in box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_runs())
+def test_fuzzed_commands_exit_zero_one_or_two(fuzz):
+    """Every eval, ct and coeff run of the grammar exits 0, 1 or 2 and
+    raises nothing.  In one variable, with a box lo..hi, eval --json of the
+    expression in lo..hi and in lo-2..hi+3 gives the same terms on the box
+    both answers claim (all of it for two exact answers), where both
+    succeed."""
+    argv, box = fuzz
+    code, _ = _run_quietly(argv + ([_box_flag(box)] if box else []))
+    assert code in (0, 1, 2)
+    if argv[3] != "X" or box is None or box[0][0] > box[0][1]:
+        return
+    (lo, hi), = box
+    answers = []
+    for wide in ((lo, hi), (lo - 2, hi + 3)):
+        code, out = _run_quietly(["eval", *argv[1:6], _box_flag([wide]), "--json"])
+        assert code in (0, 1, 2)
+        if code:
+            return
+        answers.append(json.loads(out))
+    boxes = [a["box"] for a in answers if a["box"] != "everywhere"]
+    terms = [{t["exp"][0]: t["coeff"] for t in a["terms"]} for a in answers]
+    shared = {e for t in terms for e in t
+              if all(b["lo"][0] <= e <= b["hi"][0] for b in boxes)}
+    assert all(terms[0].get(e) == terms[1].get(e) for e in shared), (argv, boxes)

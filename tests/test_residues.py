@@ -247,15 +247,13 @@ def test_wrong_index_length_is_a_dimension_mismatch(call):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("call", [
     lambda box: jacobi_coefficient(X1, check_parameters([X1, X2]), (0, 0), box),
-    lambda box: represent(X1, check_parameters([X1, X2]), ((0, 0), (1, 1)),
-                          box),
     lambda box: invert(AMB.one() + X1, box),
     lambda box: power(AMB.one() + X1, -2, box),
     lambda box: substitute([1, 1, 1], X1, box),
     lambda box: mul_within(invert(AMB.one() + X1, BOX), X1, box),
     lambda box: truncate(X1, box),
-], ids=["jacobi_coefficient", "represent", "invert", "power", "substitute",
-        "mul_within", "truncate"])
+], ids=["jacobi_coefficient", "invert", "power", "substitute", "mul_within",
+        "truncate"])
 def test_box_of_wrong_dimension_is_a_dimension_mismatch(call, k):
     """Two coordinates in the ambient, k in the caller's box."""
     with pytest.raises(DimensionMismatch):
@@ -460,8 +458,8 @@ def test_chain_forms_only_terms_that_reach_the_slab(monkeypatch):
         steps.append((None, out))
         return out
 
-    def packed(xs, ys, window, guard):
-        out = pair_loop(xs, ys, window, guard)
+    def packed(xs, ys, window):
+        out = pair_loop(xs, ys, window)
         steps[-1] = steps[-1][0], out  # read by the step's packing
         return out
 

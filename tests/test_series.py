@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 
 import pytest
@@ -33,7 +33,7 @@ from gpseries import (
 )
 from gpseries import exponents, identities, powers, residues, series
 from gpseries.exponents import exp_neg, exp_sub
-from gpseries.packing import _Packing
+from gpseries.packing import _Packing, _pair_loop, _within
 from gpseries.powers import _sum_powers
 from gpseries.series import (
     _mul_chain,
@@ -738,11 +738,11 @@ def _packing_inputs(draw):
 def test_packing_steps_and_windows(inputs):
     """pack and unpack round-trip, pack(g) + step(h) == pack(g + h) inside
     the box, a step packs positive iff its last nonzero coordinate is
-    positive (so packed order walks every positive step upward), and a
-    window accepts exactly the packed points of its region."""
+    positive (so packed order walks every positive step upward), and with
+    a window ``_within`` keeps exactly the packed points of its region and
+    ``_pair_loop`` forms a pair exactly when its sum is one of them."""
     lo, hi, g, g2, (rlo, rhi) = inputs
     pk = _Packing(lo, hi)
-    guard = pk.guard
     h = exp_sub(g2, g)
     assert pk.unpack(pk.pack(g)) == g and pk.unpack(pk.pack(g2)) == g2
     assert pk.pack(g) + pk.step(h) == pk.pack(g2)
@@ -751,14 +751,15 @@ def test_packing_steps_and_windows(inputs):
     window = pk.window(rlo, rhi)
     misses = any(max(a, l) > min(b, u) for a, b, l, u in zip(lo, hi, rlo, rhi))
     assert (window is None) == misses
-    for p in (g, g2):
-        inside = all(l <= v <= u for l, v, u in zip(rlo, p, rhi))
-        if window is None:
-            assert not inside
-            continue
-        low, high = window
-        s = pk.pack(p)
-        assert ((s + low) & guard == guard and (high - s) & guard == guard) == inside
+    points = dict.fromkeys([g, g2])
+    inside = [pk.pack(p) for p in points if all(l <= v <= u for l, v, u in zip(rlo, p, rhi))]
+    if window is None:
+        assert not inside
+        return
+    assert _within(map(pk.pack, points), window) == inside
+    # the pair g + h is formed iff its sum g2 is in the region
+    formed = _pair_loop([(pk.pack(g), 1)], [(pk.step(h), 1)], window)
+    assert list(formed) == [s for s in inside if s == pk.pack(g2)]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
@@ -1195,3 +1196,83 @@ def test_truncated_powers_agree_in_nested_boxes(inputs):
                     Box(tuple(v - 2 * k for v in r.box.lo), r.box.hi))
         exact = mul_within(power(p2, k), inv, r.box)
         assert exact.box == r.box and r.eq_within(exact)
+
+
+def _in_lex_monoid(d, gens):
+    """Whether d is a sum of the lex-positive ``gens``, by a bounded search:
+    a generator with a positive first coordinate is taken at most
+    d[0] // g[0] times, and the others must then sum to the rest of d with
+    its first coordinate 0."""
+    if not d:
+        return True
+    lead = [g for g in gens if g[0] > 0]
+    rest = tuple(g[1:] for g in gens if g[0] == 0)
+
+    @cache
+    def search(i, d):
+        if i == len(lead):
+            return d[0] == 0 and _in_lex_monoid(d[1:], rest)
+        g = lead[i]
+        return any(search(i + 1, tuple(a - t * b for a, b in zip(d, g)))
+                   for t in range(d[0] // g[0] + 1))
+    return search(0, tuple(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_chains_keep_their_certificates(data):
+    """Random chains of add, mul, mul_within, invert, power, substitute,
+    log1p and truncate, over Q and F_5 in one and two variables (lex): every
+    truncated result keeps each stored term inside its cone's bounds and in
+    offset + N-span(generators), each generator positive, and its JSON
+    loads again.  A step the library refuses with a typed error claims
+    nothing and leaves the chain where it was."""
+    draw = data.draw
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    n = draw(st.integers(1, 2))
+    amb = make_ambient(n, field=fld)
+
+    def poly():
+        return amb.series(draw(st.dictionaries(
+            st.tuples(*[st.integers(-1, 2)] * n), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=3)))
+
+    def box(within=None):
+        """A box in ``within``, else one from -2..1 up to at most 6."""
+        lo, hi = within or ((-2,) * n, (1,) * n)
+        lo = tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))
+        hi = hi if within else (6,) * n
+        return Box(lo, tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi)))
+
+    def tail(f):
+        return factorize(f)[2]
+
+    ops = {
+        "add": lambda r: add(r, poly()),
+        "mul": lambda r: mul(r, poly()),
+        "mul_within": lambda r: mul_within(r, poly(), box()),
+        "invert": lambda r: invert(r, box()),
+        "power": lambda r: power(r, draw(st.sampled_from([-2, -1, 2, 3])), box()),
+        "substitute": lambda r: substitute(draw(st.sampled_from(
+            [(1, -2, 3), (0, 1, 1, 2), lambda i: i + 1])), tail(r), box()),
+        "log1p": lambda r: log1p(tail(r), box()),
+        "truncate": lambda r: truncate(r, box(r.box and (r.box.lo, r.box.hi))),
+    }
+    if fld.characteristic:
+        del ops["log1p"]
+    r = poly()
+    for name in draw(st.lists(st.sampled_from(sorted(ops)), min_size=1, max_size=5)):
+        try:
+            r = ops[name](r)
+        except GPSeriesError:
+            continue
+        _assert_cone_checks(amb.order, r)
+        if r.box is None:
+            continue
+        cone = r.cone
+        assert all(map(amb.order.is_positive, cone.generators)), name
+        for g in r.coeffs:
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(g, cone.bounds)), (name, g)
+            assert _in_lex_monoid(exp_sub(g, cone.offset), cone.generators), (name, g)
+        back = series_from_json(series_to_json(r))
+        assert (back.coeffs, back.box, back.cone) == (r.coeffs, r.box, r.cone), name
