@@ -43,6 +43,7 @@ from .residues import check_parameters, jacobi_coefficient, represent
 from .series import (
     Ambient,
     Series,
+    add,
     h_coefficient_at,
     invert,
     mul,
@@ -101,8 +102,9 @@ def tokenize(text: str):
 
 # -- parser --------------------------------------------------------------
 
-# AST nodes: ("num", Fraction) ("var", name) ("neg", e)
-#            ("add"|"sub"|"mul"|"div", l, r) ("pow", e, int)
+# AST nodes: ("num", Fraction) ("var", name) ("neg", e) ("inv", e)
+#            ("add"|"mul", e1, e2, ...) ("pow", e, int), one node per chain:
+#            a - b is ("add", a, ("neg", b)), a / b is ("mul", a, ("inv", b))
 
 # Each level of parentheses takes eight parser frames, so this bound keeps
 # the recursive descent well inside Python's default recursion limit.
@@ -145,18 +147,19 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def binary(self, operand, ops):
-        """operand (op operand)*, left-associative, for op in ``ops``."""
-        node = operand()
+    def chain(self, operand, ops, kind, inverse):
+        """operand (op operand)* for op in the two characters ``ops``, as
+        one ``kind`` node; an operand after ops[1] becomes (inverse, e)."""
+        nodes = [operand()]
         while op := self.accept(ops):
-            node = (ops[op], node, operand())
-        return node
+            nodes.append(operand() if op == ops[0] else (inverse, operand()))
+        return nodes[0] if len(nodes) == 1 else (kind, *nodes)
 
     def expr(self):
-        return self.binary(self.term, {"+": "add", "-": "sub"})
+        return self.chain(self.term, "+-", "add", "neg")
 
     def term(self):
-        return self.binary(self.unary, {"*": "mul", "/": "div"})
+        return self.chain(self.unary, "*/", "mul", "inv")
 
     def unary(self):
         if self.accept("-"):
@@ -250,56 +253,41 @@ def config_from_args(args) -> SessionConfig:
     var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not var_names:
         raise FlagError(f"--vars: no variable names in {args.vars!r}")
-    m = args.hdim
-    if m < 0:
-        raise FlagError(f"--hdim: expected m >= 0, got {m}")
-    k = m + len(var_names)
-    order = lex_order(k) if args.order is None else _flag_value(
+    n = len(var_names)
+    order = lex_order(n) if args.order is None else _flag_value(
         "--order", parse_order, args.order, "integer rows")
-    if order.k != k:
-        raise FlagError(f"--order: {order.k} rows, expected m + n = {k}")
+    _check_count("--order", order.matrix, n)
     fld = _flag_value("--field", field_from_name, args.field, "q or fp:<prime>")
-    ambient = Ambient(GroupSplit(m, len(var_names)), order, fld)
+    ambient = Ambient(GroupSplit(0, n), order, fld)
     box = None
     if args.box is not None:
         box = Box(*_flag_ranges("--box", args.box))
-        if box.k != k:
-            raise FlagError(f"--box: {box.k} coordinates, expected m + n = {k}")
+        _check_count("--box", box.lo, n)
     return SessionConfig(ambient, var_names, box)
 
 
 def evaluate(ast, cfg: SessionConfig) -> Series:
-    """The series of an AST, left operand first.  A left-associative chain
-    such as X+X+...+X is walked down its left spine, not recursed into, so
-    only nesting, which the parser bounds, costs stack."""
-    spine = []
-    while ast[0] in ("add", "sub", "mul", "div"):
-        spine.append(ast)
-        ast = ast[1]
+    """The series of an AST.  A chain's operands are evaluated and folded
+    in left to right, so a chain such as X+X+...+X costs no stack; only
+    nesting, which the parser bounds, does."""
     kind = ast[0]
     if kind == "num":
-        f = cfg.ambient.constant(ast[1])
-    elif kind == "var":
+        return cfg.ambient.constant(ast[1])
+    if kind == "var":
         name = ast[1]
         if name not in cfg.var_names:
             raise UndeclaredVariable(f"variable {name!r} not declared")
-        f = cfg.ambient.var(cfg.var_names.index(name) + 1)
-    elif kind == "neg":
-        f = evaluate(ast[1], cfg).scale(-1)
-    elif kind == "pow":
-        f = power(evaluate(ast[1], cfg), ast[2], cfg.box)
-    else:
-        raise AssertionError(f"unknown node {kind}")
-    for kind, _, right in reversed(spine):
-        g = evaluate(right, cfg)
-        if kind == "add":
-            f = f + g
-        elif kind == "sub":
-            f = f - g
-        elif kind == "mul":
-            f = mul(f, g)
-        else:
-            f = mul(f, invert(g, cfg.box))
+        return cfg.ambient.var(cfg.var_names.index(name) + 1)
+    f = evaluate(ast[1], cfg)
+    if kind == "neg":
+        return f.scale(-1)
+    if kind == "inv":
+        return invert(f, cfg.box)
+    if kind == "pow":
+        return power(f, ast[2], cfg.box)
+    op = add if kind == "add" else mul
+    for operand in ast[2:]:
+        f = op(f, evaluate(operand, cfg))
     return f
 
 
@@ -310,12 +298,8 @@ def _scalar_text(fld, c) -> str:
 
 
 def _monomial_text(cfg: SessionConfig, g) -> str:
-    split = cfg.ambient.split
     parts = []
-    h = g[:split.m]
-    if any(h):
-        parts.append("e^(" + ",".join(map(digits, h)) + ")")
-    for name, e in zip(cfg.var_names, g[split.m:]):
+    for name, e in zip(cfg.var_names, g):
         if e == 0:
             continue
         parts.append(name if e == 1 else f"{name}^{digits(e)}")
@@ -353,9 +337,7 @@ def _parse_params(cfg: SessionConfig, spec: str):
 
 
 def _h_series_text(f: Series, cfg: SessionConfig) -> str:
-    if cfg.ambient.split.m == 0:
-        return _scalar_text(f.field, f.coefficient_at(zero_exp(f.order.k)))
-    return format_series(f, cfg)
+    return _scalar_text(f.field, f.coefficient_at(zero_exp(f.order.k)))
 
 
 def _show(args, cfg: SessionConfig, f: Series, text) -> int:
@@ -368,16 +350,16 @@ def _cmd_eval(args, cfg):
     return _show(args, cfg, evaluate(parse(args.expr), cfg), format_series)
 
 
-def _check_count(flag: str, values, cfg: SessionConfig):
+def _check_count(flag: str, values, n: int):
     """One value per declared variable, checked before any evaluation."""
-    if len(values) != cfg.n:
-        raise FlagError(f"{flag}: expected one value per variable ({cfg.n}), "
+    if len(values) != n:
+        raise FlagError(f"{flag}: expected one value per variable ({n}), "
                         f"got {len(values)}")
 
 
 def _cmd_coeff(args, cfg):
     at = _flag_ints("--at", args.at)
-    _check_count("--at", at, cfg)
+    _check_count("--at", at, cfg.n)
     f = evaluate(parse(args.expr), cfg)
     return _show(args, cfg, h_coefficient_at(f, at), _h_series_text)
 
@@ -390,13 +372,13 @@ def _cmd_ct(args, cfg):
 def _cmd_residue(args, cfg):
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
-    r = jacobi_coefficient(psi, params, (0,) * cfg.n, cfg.box)
+    r = jacobi_coefficient(psi, params, (0,) * cfg.n)
     return _show(args, cfg, r, _h_series_text)
 
 
 def _cmd_represent(args, cfg):
     degrees = _flag_ranges("--degrees", args.degrees)
-    _check_count("--degrees", degrees[0], cfg)
+    _check_count("--degrees", degrees[0], cfg.n)
     psi = evaluate(parse(args.expr), cfg)
     params = _parse_params(cfg, args.params)
     coeffs = represent(psi, params, degrees)
@@ -423,8 +405,8 @@ def _cmd_dyson(args, _cfg):
 # no argparse default, which a subcommand would write over a value given
 # before it; ``run`` fills these defaults in after parsing, and refuses
 # every global flag but --json for a subcommand that takes no session.
-_GLOBAL_DEFAULTS = {"order": None, "vars": "X", "hdim": 0, "field": "q",
-                   "box": None, "json": False}
+_GLOBAL_DEFAULTS = {"order": None, "vars": "X", "field": "q", "box": None,
+                   "json": False}
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -433,11 +415,9 @@ def build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--order",
                         help='order matrix rows, e.g. "1,0;0,1" (default: lex)')
     common.add_argument("--vars", help="comma-separated variable names")
-    common.add_argument("--hdim", type=int,
-                        help="number of leading coefficient-group coordinates")
     common.add_argument("--field", help='"q" or "fp:<p>"')
     common.add_argument("--box",
-                        help='exactness box "lo..hi,lo..hi,..." over all coordinates')
+                        help='exactness box "lo..hi,lo..hi,...", one range per variable')
     common.add_argument("--json", action="store_true", help="JSON output")
     ap = argparse.ArgumentParser(
         prog="gpseries", parents=[common],

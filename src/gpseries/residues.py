@@ -218,8 +218,9 @@ def represent(psi: Series, p: ParameterSystem, idx_box) -> dict:
     order: each candidate is hit exactly once as the leading exponent of
     e^h Phi^idx, so its unknown is determined by earlier ones.  The units
     are read only at differences of candidates, whose box bounds their
-    negative powers.  For m > 0 each phi_idx is exact on the H range
-    solved, cut to psi's box.
+    negative powers.  For m > 0 each phi_idx is exact, cut to psi's box,
+    on the union over the indices of psi's H extent less the base's H part;
+    a truncated psi raises OutsideBox where a candidate leaves its box.
     """
     if not is_regular(p):
         raise NotRegular(f"multiplicity determinant is {p.det}, not a unit")
@@ -241,12 +242,11 @@ def represent(psi: Series, p: ParameterSystem, idx_box) -> dict:
         base[idx], lead_consts[idx] = b, c
     out_box = h_box(psi)
     if split.m:
-        hlo, hhi = map(list, zip(*_extents(psi)[:split.m]))
-        for b in base.values():
-            for c in range(split.m):
-                hlo[c] = min(hlo[c], hlo[c] - b[c])
-                hhi[c] = max(hhi[c], hhi[c] - b[c])
-        solved = Box(tuple(hlo) + (0,) * split.n, tuple(hhi) + (0,) * split.n)
+        ext = _extents(psi)[:split.m]
+        bs = list(zip(*base.values())) or [(0,)] * split.m  # bases by coordinate
+        hlo = tuple(a - max(b) for (a, _), b in zip(ext, bs))
+        hhi = tuple(z - min(b) for (_, z), b in zip(ext, bs))
+        solved = Box(hlo + (0,) * split.n, hhi + (0,) * split.n)
         h_points = list(solved.points())
         # the answers are exact on the H range solved, and no further
         out_box = box_intersect(out_box, solved)

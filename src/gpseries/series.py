@@ -198,13 +198,11 @@ class Series:
     def __pow__(self, k: int):
         return power(self, k)
 
-    def eq_within(self, other, box=None) -> bool:
+    def eq_within(self, other) -> bool:
         """Coefficientwise equality on the common exactness box."""
         other = _coerce_operand(self, other)
         try:
             common = box_intersect(self.box, other.box)
-            if box is not None:
-                common = box_intersect(common, box)
         except ValueError:
             return True  # empty comparison region
         inside = (lambda g: True) if common is None else common.contains

@@ -272,6 +272,17 @@ def test_nform_json_that_is_not_an_object_is_malformed(data):
         nform_from_json(data)
 
 
+def test_nform_sum_across_bases_and_negation():
+    """The right summand moves into the left one's basis: X1 dX plus
+    X2 dlog X = X2 / (X1 X2) dX is (X1 + X1^-1) dX."""
+    s = NForm(X1, DX) + NForm(X2, DLOGX)
+    assert s.basis_mode == DX and s.coeff.coeffs == {(1, 0): 1, (-1, 0): 1}
+    t = NForm(X2, DLOGX) + NForm(X1, DX)
+    assert t.basis_mode == DLOGX and t.coeff.coeffs == {(0, 1): 1, (2, 1): 1}
+    n = -NForm(X1, DLOGX)
+    assert n.basis_mode == DLOGX and n.coeff.coeffs == {(1, 0): -1}
+
+
 def test_nform_json_round_trip():
     w = dlog_wedge([mul(X1, X2), X2], BOX).to_basis(DLOGX)
     data = nform_to_json(w)

@@ -31,9 +31,9 @@ from gpseries.series import Ambient, series_from_json, series_to_json
 from conftest import random_polynomial
 
 
-def cfg_for(names, box=None, m=0):
+def cfg_for(names, box=None):
     n = len(names)
-    return SessionConfig(Ambient(GroupSplit(m, n), lex_order(m + n), QQ),
+    return SessionConfig(Ambient(GroupSplit(0, n), lex_order(n), QQ),
                          tuple(names), box)
 
 
@@ -283,14 +283,15 @@ def test_bad_box_with_box_given_exits_one(capsys):
     (["coeff", "X", "--at", "1,2"], "--at"),
     (["represent", "X", "--params", "X+X^2", "--degrees", "1..2,1..3",
       "--box=-10..10"], "--degrees"),
-    (["--hdim", "-1", "eval", "X"], "--hdim"),
+    # the CLI forms no H exponent, so it takes no --hdim
+    (["eval", "X", "--hdim", "1"], "unrecognized arguments: --hdim"),
     (["eval", "X", "--box=0..1,0..1"], "--box"),
     (["--vars", ",", "eval", "X"], "--vars"),
     # dyson takes no session: every global flag but --json is refused
     (["--field", "fp:5", "dyson", "--a", "1,1,1"], "dyson does not take --field"),
     (["dyson", "--a", "1,1,1", "--vars", "X,Y"], "dyson does not take --vars"),
     (["--order", "1", "dyson", "--a", "1,1,1"], "dyson does not take --order"),
-    (["dyson", "--a", "1,1,1", "--hdim", "0"], "dyson does not take --hdim"),
+    (["dyson", "--a", "1,1,1", "--hdim", "0"], "unrecognized arguments: --hdim"),
     (["dyson", "--a", "1,1,1", "--box=0..1"], "dyson does not take --box"),
     # values that the library rejects
     (["eval", "X", "--order", "0"], "--order"),
@@ -402,6 +403,16 @@ def test_json_round_trip(capsys):
     assert json.dumps(series_to_json(f)) + "\n" == blob
 
 
+def test_json_represent(capsys):
+    assert run(["represent", "X", "--params", "X+X^2", "--degrees", "1..3",
+                "--box=-10..10", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["1", "2", "3"]
+    for key, c in zip(data, (1, -1, 2)):
+        f = series_from_json(data[key])
+        assert f.box is None and f.coeffs == {(0,): c}
+
+
 def test_json_dyson(capsys):
     assert run(["dyson", "--a", "1,1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -409,8 +420,8 @@ def test_json_dyson(capsys):
 
 
 def test_config_box_dimension_check():
-    ap_args = type("A", (), {"vars": "X,Y", "hdim": 0, "order": None,
-                             "field": "q", "box": "0..1"})
+    ap_args = type("A", (), {"vars": "X,Y", "order": None, "field": "q",
+                             "box": "0..1"})
     with pytest.raises(FlagError, match="--box"):
         config_from_args(ap_args)
 

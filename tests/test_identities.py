@@ -178,7 +178,7 @@ def test_egorychev_inversion_forms_each_point_once(monkeypatch):
         seen["sums"] += seen["inside"]
         return real_sum(*args)
 
-    monkeypatch.setattr(residues, "invert", invert)  # _read_quotient's inverse
+    monkeypatch.setattr(residues, "invert", invert)  # _jacobi_in_box's inverse
     monkeypatch.setattr(powers, "_domain", domain)
     monkeypatch.setattr(powers, "_sum_powers", sum_powers)
     assert dyson_verify(DysonInstance((4, 4, 4)), "egorychev") == (34650, 34650, True)

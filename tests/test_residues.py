@@ -421,6 +421,26 @@ def test_represent_box_is_where_it_solved():
             assert phi.eq_within(jc), (idx, phi, jc)
 
 
+def test_represent_solves_the_union_of_the_shifted_h_ranges():
+    """The H range solved is the union over the indices of psi's H extent
+    less each base's H part (-3..3 here), not psi's extent widened by the
+    sum of the bases' H parts (-6..3)."""
+    amb = make_ambient(1, m=1)
+    x, t = amb.var(1), amb.monomial(1, (1, 0))
+    phi = mul(t, mul(x, amb.one() + x))  # leading exponent (1, 1)
+    p = check_parameters([phi])
+    cs = (2, -1, 3, 5)
+    psi = amb.zero()
+    for i, c in enumerate(cs):
+        psi = add(psi, power(phi, i).scale(c))
+    rep = represent(psi, p, ((0,), (3,)))
+    assert sorted(rep) == [(0,), (1,), (2,), (3,)]
+    for (i,), phi_i in rep.items():
+        assert phi_i.box == Box((-3, 0), (3, 0))
+        assert phi_i.coeffs == {(0, 0): cs[i]}
+        assert phi_i.eq_within(jacobi_coefficient(psi, p, (i,)))
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
 def test_jacobi_slab_agrees_with_full_chain(field):
     for psi, p, idxs in _slab_cases(field):

@@ -214,6 +214,49 @@ def test_substitute_polynomial_consistency():
         assert substitute(c, f).eq_within(direct)
 
 
+def test_polynomial_in_truncated_base_without_target_box():
+    """A finite c and a truncated f with no target box: sum c_i f^i by
+    repeated products, the same coefficients and box as building it with
+    add and mul.  The two certificates may differ; each holds its terms."""
+    X, Y = AMB1.var(1), AMB1.var(2)
+    f = add(mul(X, invert(AMB1.one() - Y, Box((0, 0), (3, 3)))), Y)
+    c = (2, -1, 3)
+    got = substitute(c, f)
+    want, pw = AMB1.zero(), AMB1.one()
+    for ci in c:
+        want, pw = add(want, pw.scale(ci)), mul(pw, f)
+    assert got.coeffs == want.coeffs and got.box == want.box == Box((0, 0), (8, 3))
+    for g in (got, want):
+        assert series._outside_cone(AMB1, g.cone, g.coeffs) is None
+
+
+def test_infinite_coefficient_list_without_target_box():
+    """A callable c with no target box answers c(0) for a certainly-zero f
+    and needs a box for any other f."""
+    X = AMB1.var(1)
+    got = substitute(lambda i: i + 7, AMB1.zero())
+    assert got.coeffs == {(0, 0): 7} and got.box is None
+    for f in (X, mul(X, invert(AMB1.one() - X, Box((0, 0), (4, 0))))):
+        with pytest.raises(BoxUnderflow, match="target box required"):
+            substitute(lambda i: 1, f)
+
+
+def test_series_operators_and_repr():
+    X = AMB1.var(1)
+    f = AMB1.one() + X
+    assert (-f).coeffs == {(0, 0): -1, (1, 0): -1}
+    assert (2 * f).coeffs == (f * 2).coeffs == {(0, 0): 2, (1, 0): 2}
+    assert repr(f) == "Series({(0, 0): 1, (1, 0): 1}, box=everywhere)"
+    big = power(f, 9)  # past eight terms the repr elides the rest
+    assert repr(big).endswith("(7, 0): 36...}, box=everywhere)")
+    g = invert(AMB1.one() - X, Box((0, 0), (2, 0)))
+    assert repr(g) == "Series({(0, 0): 1, (1, 0): 1, (2, 0): 1}, box=[(0, 0)..(2, 0)])"
+    assert series.coefficient_at(g, (2, 0)) == 1
+    assert series.coefficient_at(f, (2, 0)) == 0
+    with pytest.raises(OutsideBox):
+        series.coefficient_at(g, (3, 0))
+
+
 def test_log1p_values():
     amb = make_ambient(1)
     l = log1p(amb.var(1), Box((0,), (3,)))
