@@ -1,6 +1,7 @@
 """Compare two source trees pass for pass, in one process.
 
-Usage: python scripts/ab_passes.py TREE_A TREE_B [--passes N] [--seed S] WORKLOAD...
+Usage: python scripts/ab_passes.py TREE_A TREE_B [--passes N] [--seed S]
+                                   [--by-kind] WORKLOAD...
 
 Tree A's ``src/gpseries`` is imported as ``gpseries`` and tree B's as
 ``gpseries_b``, side by side.  Each workload's cases are built from tree
@@ -15,7 +16,9 @@ Separate processes running the same tree can differ by 1.6x on a busy
 neighbours, and alternating the order cancels the drift between them.
 For each workload it prints each side's min and median process time per
 pass (case calls only, checks left out), the median over pairs of B's
-time over A's, and in how many pairs B was faster.
+time over A's, and in how many pairs B was faster.  With ``--by-kind`` the
+same figures follow for each ``Case.kind`` of the workload, one line each,
+so a gain can be traced to its stratum and a control shown not to move.
 """
 
 import argparse
@@ -51,7 +54,8 @@ def _library(name, tree: Path):
 
 
 def _pass(cases, typed):
-    """(process seconds of the case calls, [(label, why) for each failure])."""
+    """({kind: process seconds of its case calls}, [(label, why) for each
+    failure])."""
     answers = []
     gc.collect()
     for case in cases:
@@ -69,11 +73,15 @@ def _pass(cases, typed):
             why = case.check(answer)
         if why is not None:
             bad.append((case.label, why))
-    return sum(dt for dt, _ in answers), bad
+    by_kind = {}
+    for case, (dt, _) in zip(cases, answers):
+        by_kind[case.kind] = by_kind.get(case.kind, 0.0) + dt
+    return by_kind, bad
 
 
 def compare(workloads, sides, workload, seed, passes):
-    """(times of A, times of B, failures) over ``passes`` alternating pairs."""
+    """(per-kind times of A, of B, failures) over ``passes`` alternating
+    pairs, one {kind: seconds} per pass."""
     spec = workloads.specs(workload, seed)
     runs = [(workloads.build(workload, spec, gp), (gp.GPSeriesError, workloads.Refused))
             for gp in sides]
@@ -86,12 +94,23 @@ def compare(workloads, sides, workload, seed, passes):
     return times, bad
 
 
+def _summary(ta, tb):
+    """Each side's min and median, B/A over pairs and B's wins."""
+    ratio = statistics.median(b / a for a, b in zip(ta, tb))
+    wins = sum(b < a for a, b in zip(ta, tb))
+    return (f"A min {min(ta):.4f} med {statistics.median(ta):.4f} s"
+            f"  B min {min(tb):.4f} med {statistics.median(tb):.4f} s"
+            f"  B/A {ratio:.3f}  B wins {wins}/{len(ta)}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", type=Path)
     ap.add_argument("tree_b", type=Path)
     ap.add_argument("--passes", type=int, default=10, help="pairs of passes")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--by-kind", action="store_true",
+                    help="also one line per Case.kind of each workload")
     ap.add_argument("workload", nargs="+")
     args = ap.parse_args(argv)
     workloads = _load("workloads", args.tree_a / "perfbench" / "workloads.py")
@@ -104,12 +123,13 @@ def main(argv=None):
     failed = False
     for name in args.workload:
         (ta, tb), bad = compare(workloads, sides, name, args.seed, args.passes)
-        ratio = statistics.median(b / a for a, b in zip(ta, tb))
-        wins = sum(b < a for a, b in zip(ta, tb))
-        print(f"{name} seed={args.seed} passes={args.passes}"
-              f"  A min {min(ta):.4f} med {statistics.median(ta):.4f} s"
-              f"  B min {min(tb):.4f} med {statistics.median(tb):.4f} s"
-              f"  B/A {ratio:.3f}  B wins {wins}/{args.passes}", flush=True)
+        total = [[sum(t.values()) for t in side] for side in (ta, tb)]
+        print(f"{name} seed={args.seed} passes={args.passes}  {_summary(*total)}",
+              flush=True)
+        if args.by_kind:
+            for kind in ta[0]:
+                print(f"  kind {kind}  {_summary([t[kind] for t in ta], [t[kind] for t in tb])}",
+                      flush=True)
         for side, label, why in bad[:10]:
             print(f"  {side} failed: {label}: {why}")
         failed |= bool(bad)

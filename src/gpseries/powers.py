@@ -20,6 +20,7 @@ from .series import (
     _check_box,
     _effective_cone,
     _key_extents,
+    _mul_chain,
     _stored_cut,
     add,
     factorize,
@@ -279,16 +280,17 @@ def power(f: Series, k: int, target_box=None) -> Series:
     alternating in-process passes, process time).  The coefficient sums of
     ``substitute`` and ``log1p`` have no such recurrence.
 
-    Repeated ``mul``, each product certified by ``_product_box``, remains
-    for a nonnegative power of a truncated f, and of an exact f with
-    k * #f <= 20; 0^k is one mul.  Against the kernel (set-up about 30 us)
-    it won up to (1+X)^4 (even at ^5), a 3-term f^4 and a 6-term f^3, and
-    lost from (1+X)^6, a 3-term f^5 and a 6-term f^4 (1-2 variables, Q and
-    F_10007, timeit); a bound of 12 left seed-1 benchmark passes unchanged."""
+    A nonnegative power of a truncated f, and of an exact f with k * #f <=
+    20, is one ``_mul_chain`` of k factors f (0^k of one); against the kernel
+    (set-up about 30 us) repeated ``mul`` won up to (1+X)^4 (even at ^5), a
+    3-term f^4 and a 6-term f^3, and lost from (1+X)^6, a 3-term f^5 and a
+    6-term f^4 (1-2 variables, Q and F_10007, timeit); a bound of 12 left
+    seed-1 benchmark passes unchanged."""
     _check_box(f.ambient, target_box)
     n = len(f.coeffs)
     if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):
-        return reduce(mul, repeat(f, min(k, 1) if f.is_zero() else k), f.ambient.one())
+        t = min(k, 1) if f.is_zero() else k
+        return _mul_chain([f] * t, None) if t else f.ambient.one()
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)
     kg = tuple(k * v for v in g)

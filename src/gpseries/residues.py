@@ -56,8 +56,11 @@ def multiplicities(f: Series):
 
 @dataclass(frozen=True)
 class ParameterSystem:
-    """J(Phi), ``jacobian``, and ``wedge`` depend on the system alone: each
-    is built at its first read and kept outside eq and hash."""
+    """J(Phi), ``jacobian``, ``wedge`` and the member powers Phi_l^k, k > 0,
+    of ``member_power`` depend on the system alone: each is built at its
+    first read and kept outside eq and hash.  A shared, long-lived system
+    (``identities.egorychev_parameters(n)`` is one per process) keeps every
+    power it has been asked for."""
 
     members: tuple  # n Series
     leading: tuple  # per member (a, g, tail)
@@ -66,6 +69,16 @@ class ParameterSystem:
     @cached_property
     def jacobian(self) -> Series:
         return jacobian(self.members)
+
+    @cached_property
+    def _powers(self) -> dict:
+        return {}
+
+    def member_power(self, l: int, k: int) -> Series:
+        """Phi_l^k for k > 0, from the system's store."""
+        if (l, k) not in self._powers:
+            self._powers[l, k] = power(self.members[l], k)
+        return self._powers[l, k]
 
     @cached_property
     def wedge(self):
@@ -182,7 +195,8 @@ def jacobi_coefficient(psi, p: ParameterSystem, idx, working_box=None) -> Series
 def _jacobi_in_box(psi, p: ParameterSystem, idx, working_box: Box) -> Series:
     """c/det times the H-coefficient at X^-v, over the working box's H range,
     of psi's factors, N and the Phi_l^-(i_l+e) with i_l + e < 0 over the
-    Phi_l^(i_l+e) with i_l + e > 0, for the wedge (c, v, N, e) of ``p``.
+    Phi_l^(i_l+e) with i_l + e > 0, for the wedge (c, v, N, e) of ``p``;
+    both kinds of member power come from ``p.member_power``.
     The denominators' product is inverted once, in the read box less the
     numerators' summed extents, where it holds every point they can carry
     into the read box; one ``_chain_terms``, aimed there unless every factor
@@ -191,8 +205,8 @@ def _jacobi_in_box(psi, p: ParameterSystem, idx, working_box: Box) -> Series:
     m, fld = p.ambient.split.m, p.ambient.field
     c, v, wedge_nums, e = p.wedge
     nums = [*psi, *wedge_nums,
-            *(power(f, -i - e) for f, i in zip(p.members, idx) if i + e < 0)]
-    dens = [power(f, i + e) for f, i in zip(p.members, idx) if i + e > 0]
+            *(p.member_power(l, -i - e) for l, i in enumerate(idx) if i + e < 0)]
+    dens = [p.member_power(l, i + e) for l, i in enumerate(idx) if i + e > 0]
     at = exp_neg(v)
     box = Box(working_box.lo[:m] + at, working_box.hi[:m] + at)
     if dens:

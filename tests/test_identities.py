@@ -142,6 +142,19 @@ def test_egorychev_matches_multinomial():
             expect, expect, True)
 
 
+def test_egorychev_warm_reads_answer_like_cold_ones():
+    """Every Egorychev read at n = 3 shares one system and its member
+    powers Upsilon_l^k: a descending sweep, reading the powers that an
+    ascending sweep formed, gives the same multinomials."""
+    grid = [a for a in itertools.product(range(4), repeat=3) if any(a)]
+    for a in grid + grid[::-1]:
+        expect = math.factorial(sum(a))
+        for x in a:
+            expect //= math.factorial(x)
+        assert dyson_verify(DysonInstance(a), "egorychev") == (
+            expect, expect, True)
+
+
 def test_egorychev_parameters_are_built_once_per_n():
     """Upsilon and Delta = sum Upsilon depend on n alone, so each is built
     once per n and shared by every Egorychev read and check."""

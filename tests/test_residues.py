@@ -193,6 +193,33 @@ def test_jacobi_builds_one_jacobian_per_system(monkeypatch):
     assert len(calls) == 2
 
 
+def test_jacobi_forms_each_member_power_once_per_system(monkeypatch):
+    """The member powers Phi_l^k, k > 0, depend on the system alone, so
+    reads at indices that share member exponents form each once, numerator
+    and denominator powers alike, and warm reads answer as cold ones do.
+    The store plays no part in eq or hash, and a fresh system of the same
+    fields forms its own."""
+    calls = []
+    p = check_parameters([add(X1, mul(X1, X2)), add(X2, mul(X1, X1))])
+    names = {id(f): l for l, f in enumerate(p.members)}
+    monkeypatch.setattr(residues, "power", lambda f, k, *box: calls.append(
+        (names[id(f)], k)) or power(f, k, *box))
+    assert p.wedge[3] == 1  # the X^-1 slab: Phi_l^-(i_l+1)
+    psi = add(mul(X1, X2), X1.scale(3))
+    before = hash(p)
+    idxs = [(0, 1), (1, 0), (1, 1), (-2, 1), (1, -2), (-2, -2), (0, 1)]
+    warm = [jacobi_coefficient(psi, p, idx) for idx in idxs * 2]
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    fresh = ParameterSystem(p.members, p.leading, p.det)
+    assert fresh == p and hash(fresh) == hash(p) == before
+    cold = [jacobi_coefficient(psi, ParameterSystem(p.members, p.leading, p.det),
+                               idx) for idx in idxs]
+    assert all(w.eq_within(c) and w.box == c.box for w, c in zip(warm, cold * 2))
+    del calls[:]
+    jacobi_coefficient(psi, fresh, (0, 1))
+    assert sorted(calls) == [(0, 1), (1, 2)]
+
+
 @st.composite
 def _system_reads(draw):
     """Over Q or F_5, two members a X^row (1 + tail) with |det| 1 or 2, as

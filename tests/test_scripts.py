@@ -51,6 +51,27 @@ def test_ab_passes_runs_a_tree_against_itself():
     assert "B/A" in line and line.endswith("/2")
 
 
+def test_ab_passes_by_kind_adds_one_line_per_kind():
+    """With --by-kind, each workload's summary line is followed by one line
+    per Case.kind, in the order the kinds first appear among the cases."""
+    out = _run_script("ab_passes.py", str(ROOT), str(ROOT), "--passes", "1",
+                      "--by-kind", "jacobi-recovery", "dyson-routes")
+    assert out.returncode == 0, out.stderr
+    kinds = {}
+    for line in out.stdout.splitlines():
+        assert "  B/A " in line and line.endswith("/1")
+        if line.startswith("  kind "):
+            kinds[name].append(line[len("  kind "):line.index("  A min")])
+        else:
+            name = line.split()[0]
+            kinds[name] = []
+    assert list(kinds) == ["jacobi-recovery", "dyson-routes"]
+    assert kinds["jacobi-recovery"] == ["|det|=1", "|det|=2"]
+    assert len(set(kinds["dyson-routes"])) == len(kinds["dyson-routes"])
+    assert {k.split()[0] for k in kinds["dyson-routes"]} == {
+        "direct", "wilson", "egorychev"}
+
+
 def test_answer_digest_repeats():
     """Two runs, under different string hash seeds, print the same digest
     of every jacobi-recovery answer of seed 1."""
@@ -76,3 +97,15 @@ def test_answer_digest_matches_committed():
     out = _run_script("answer_digest.py", "--seed", "1")
     assert out.returncode == 0, out.stderr
     assert out.stdout == (ROOT / "tests" / "answer_digest_seed1.txt").read_text()
+
+
+def test_answer_digest_repeats_on_warm_caches():
+    """Two seed-1 dyson-routes digests in one process print the committed
+    line twice: the second pass reads through the process-wide caches that
+    the first filled (Upsilon, Delta, J, the wedge and the member powers)."""
+    out = _run_script("answer_digest.py", "--workload", "dyson-routes",
+                      "--seed", "1", "1")
+    assert out.returncode == 0, out.stderr
+    [line] = [l for l in (ROOT / "tests" / "answer_digest_seed1.txt").read_text()
+              .splitlines() if l.startswith("dyson-routes ")]
+    assert out.stdout.splitlines() == [line, line]
