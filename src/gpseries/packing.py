@@ -3,10 +3,10 @@ product and power.
 
 Exponents inside a box are packed into one int each (``_Packing``), so a
 pair of terms costs one int add and two masked compares against a window,
-which carries its guard.  Only this module makes them: ``_pair_loop`` tests
-pairs, forming those whose packed sum lies in a window, and ``_within``
-tests points.  ``_convolve`` is the exact tuple product that small exact
-operands take instead.  ``series._chain_terms`` and ``powers`` drive them.
+which carries its guard.  Only this module makes them: ``_pair_loop``, the
+product kernel, tests pairs, and ``_within`` tests points, also for the
+coefficient-free walk ``powers._domain``.  ``_convolve`` is the exact tuple
+product that small exact operands take instead.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ def _within(points, window) -> list:
 
 
 def _pair_loop(xs, ys, window) -> dict:
-    """Sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
-    packed sum x + y lies in ``window``, keyed by that sum: the masked
-    compares alone pick the pairs.  With no window every pair is formed:
-    the compares cost an exact Delta^12 (n = 4) 0.97 s against 0.57 s
-    without them."""
+    """The product kernel of ``series._chain_terms`` and ``powers._sum_powers``:
+    sum of c1 * c2 over the pairs (x, c1) in xs and (y, c2) in ys whose
+    packed sum x + y lies in ``window``, keyed by that sum.  With no window
+    every pair is formed: the compares cost an exact Delta^12 (n = 4)
+    0.97 s against 0.57 s without them."""
     full = window is None
     low, high, guard = window or (0, 0, 0)
     out = {}

@@ -149,36 +149,34 @@ def _sum_powers(cs, f: Series, box, i_cap, scale=1, shift=None) -> Series:
     return Series(f.ambient, coeffs, box.shift(shift), Cone(shift, tuple(elems)))
 
 
-def _domain(origin, steps, reach, inbox, i_max) -> list:
-    """The packed points other than ``origin`` that lie on a path of at
-    most i_max ``steps`` from ``origin`` into the box, whose window
-    ``inbox`` is ``reach(0)``; unordered.
+def _domain(origin, steps, reach, i_max) -> set:
+    """The set of packed points other than ``origin`` on a path of at most
+    i_max ``steps`` from ``origin`` into the box, ``reach(0)`` (not None).
 
     Walked forward level by level, a point first met after j steps is kept
     if it lies in ``reach(i_max - j)``: a path into the box passes there
     after j steps, and a point met first at a lower level lies in a wider
-    window.  Each level is ``_pair_loop``'s sums of a kept point and one
-    key, less those already met.  Then, unless every point met is in the
-    box, walked back from the box through the points met; ``s - y`` of a
-    packed s is packed again only if the difference lies in the packing
-    box."""
+    window.  A level is set algebra over packed ints, with no coefficient:
+    the sums of a kept point and a step, less those met, that ``_within``
+    keeps.  Then, unless every point met is in the box, walked back from
+    the box through the points met, a frontier of differences at a time;
+    ``s - y`` of a packed s is packed again only if the difference lies in
+    the packing box."""
     seen = {origin}
     level = [origin]
-    moves = [(y, 0) for y in steps]
     for t in range(i_max - 1, -1, -1):
-        if not level or not (window := reach(t) if t else inbox):
+        if not level or not (window := reach(t)):
             break
-        level = [z for z in _pair_loop(zip(level, repeat(0)), moves, window) if z not in seen]
+        level = _within({x + y for x in level for y in steps} - seen, window)
         seen.update(level)
-    need = _within(seen, inbox)
+    need = set(_within(seen, reach(0)))
     if len(need) < len(seen):
-        rest = seen.difference(need)
-        for s in need:  # need grows as it is walked
-            for y in steps:
-                if (q := s - y) in rest:
-                    rest.remove(q)
-                    need.append(q)
-    return [s for s in need if s != origin]
+        rest, back = seen - need, need
+        while back := {s - y for s in back for y in steps} & rest:
+            rest -= back
+            need |= back
+    need.discard(origin)
+    return need
 
 
 def _invert(tail: Series, box, scale, shift) -> Series:
@@ -204,11 +202,9 @@ def _invert(tail: Series, box, scale, shift) -> Series:
         return Series(tail.ambient, {}, box.shift(shift), cone)
     origin = pk.pack(zero_exp(order.k))
     steps = [(pk.step(g), c) for g, c in tail.coeffs.items()]
-    domain = _domain(origin, [y for y, _ in steps], reach, inbox, i_max)
-    if all(y > 0 for y, _ in steps):  # every key then steps up in packed order
-        domain.sort()
-    else:
-        domain.sort(key=lambda s: order.key(pk.unpack(s)))
+    ys = [y for y, _ in steps]
+    up = None if all(y > 0 for y in ys) else lambda s: order.key(pk.unpack(s))
+    domain = sorted(_domain(origin, ys, reach, i_max), key=up)
     p = fld.characteristic
     r = {origin: 1}
     get = r.get
@@ -280,16 +276,21 @@ def power(f: Series, k: int, target_box=None) -> Series:
     alternating in-process passes, process time).  The coefficient sums of
     ``substitute`` and ``log1p`` have no such recurrence.
 
-    A nonnegative power of a truncated f, and of an exact f with k * #f <=
-    20, is one ``_mul_chain`` of k factors f (0^k of one); against the kernel
-    (set-up about 30 us) repeated ``mul`` won up to (1+X)^4 (even at ^5), a
-    3-term f^4 and a 6-term f^3, and lost from (1+X)^6, a 3-term f^5 and a
-    6-term f^4 (1-2 variables, Q and F_10007, timeit); a bound of 12 left
-    seed-1 benchmark passes unchanged."""
+    A nonnegative power of an exact f with k * #f <= 20 is one
+    ``_mul_chain`` of k factors f (0^k of one); against the kernel (set-up
+    about 30 us) repeated ``mul`` won up to (1+X)^4 (even at ^5), a 3-term
+    f^4 and a 6-term f^3, and lost from (1+X)^6, a 3-term f^5 and a 6-term
+    f^4 (1-2 variables, Q and F_10007, timeit); a bound of 12 left seed-1
+    benchmark passes unchanged.  A truncated f is powered by squaring, each
+    step a certified chain of f^(k//2) twice (and f if k is odd), which
+    gives the k-fold chain's box and cone in about log2(k) products."""
     _check_box(f.ambient, target_box)
     n = len(f.coeffs)
     if k >= 0 and (f.box is not None or n != 1 and k * n <= 20):
         t = min(k, 1) if f.is_zero() else k
+        if t > 1 and f.box is not None:
+            half = power(f, t // 2)
+            return _mul_chain([half, half, f][:2 + t % 2], None)
         return _mul_chain([f] * t, None) if t else f.ambient.one()
     a, g, tail = factorize(f)
     ak = f.field.power(a, k)

@@ -260,9 +260,8 @@ def _outside_cone(ambient: Ambient, cone: Cone, keys):
     gens = Series(ambient, dict.fromkeys(cone.generators, 1), None, None)
     hull = Box(*zip(*_key_extents(rel.values())))
     i_max, _, _, pk, reach = _reach_setup(gens, hull, math.inf)
-    origin, inbox = pk.pack(zero_exp(ambient.k)), reach(0)
-    steps = [*map(pk.step, gens.coeffs)]
-    walked = [origin, *_domain(origin, steps, reach, inbox, i_max)] if inbox else []
+    origin, steps = pk.pack(zero_exp(ambient.k)), [*map(pk.step, gens.coeffs)]
+    walked = {origin, *_domain(origin, steps, reach, i_max)} if reach(0) else ()
     reached = set(map(pk.unpack, walked))
     return next((g for g, r in rel.items() if r not in reached), None)
 

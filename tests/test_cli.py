@@ -267,6 +267,11 @@ def test_bad_box_with_box_given_exits_one(capsys):
     # box present but inversion still uncertifiable: domain error
     assert run(["eval", "1/0", "--box=0..3"]) == 1
     capsys.readouterr()
+    # a BoxUnderflow with --box given is a domain error too, with no hint
+    assert run(["eval", "(1/(1-X))*(1/(X-X^2))", "--box=0..3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certified product box is empty in coordinate 0")
+    assert "pass --box" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [

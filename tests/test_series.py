@@ -1,12 +1,13 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from gpseries import (
@@ -32,6 +33,7 @@ from gpseries import (
     validate_order,
 )
 from gpseries import exponents, identities, powers, residues, series
+from gpseries.cli import run
 from gpseries.exponents import exp_neg, exp_sub
 from gpseries.packing import _Packing, _pair_loop, _within
 from gpseries.powers import _sum_powers
@@ -610,6 +612,101 @@ def test_inverse_by_recurrence_is_the_binomial_sum(inputs):
     assert prod.eq_within(amb.one())
 
 
+def _oracle_power(fld, matrix, lead, shift, tail, k, box):
+    """lead^k X^(k shift) sum_i C(k, i) tail^i in ``box``, by plain tuple
+    convolution over Fractions, coerced into ``fld`` once at the end: no
+    library code but the field.  w = sum_j N^(n-1-j) M_j is positive on
+    every tail key once N is large, so each factor adds at least 1 to
+    <w, .>, and a partial power past its maximum over the box never
+    comes back to it."""
+    n = len(shift)
+    w, big = None, 1
+    while w is None or any(sum(map(operator.mul, w, h)) <= 0 for h in tail):
+        w = [sum(big ** (n - 1 - j) * row[c] for j, row in enumerate(matrix))
+             for c in range(n)]
+        big *= 2
+    lo = [a - k * g for a, g in zip(box.lo, shift)]
+    hi = [b - k * g for b, g in zip(box.hi, shift)]
+    top = sum(max(v * a, v * b) for v, a, b in zip(w, lo, hi))
+    total, pw, i = {}, {(0,) * n: Fraction(1)}, 0
+    while pw:
+        binom = (-1) ** i * math.comb(i - k - 1, i)  # C(k, i) for k < 0
+        for e, c in pw.items():
+            if all(a <= v <= b for v, a, b in zip(e, lo, hi)):
+                total[e] = total.get(e, 0) + binom * c
+        nxt = {}
+        for e, c in pw.items():
+            for h, d in tail.items():
+                q = tuple(map(operator.add, e, h))
+                if sum(map(operator.mul, w, q)) <= top:
+                    nxt[q] = nxt.get(q, 0) + c * d
+        pw, i = nxt, i + 1
+    out = {tuple(v + k * g for v, g in zip(e, shift)): fld.coerce(Fraction(lead) ** k * c)
+           for e, c in total.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def _inside(box, e):
+    return all(a <= v <= b for v, a, b in zip(e, box.lo, box.hi))
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """f = lead X^shift (1 + tail) over Q, F_5 or F_7, in 1-3 coordinates,
+    under lex, reversed lex or a random unimodular order, with 1-4 tail
+    keys in [-2, 2]^n, positive but of mixed sign; a power k in -1..-3;
+    a box B1 near the leading exponent of f^k, and a box B2 near f's."""
+    n = draw(st.integers(1, 3))
+    fld = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7)]))
+    order = draw(st.sampled_from([
+        lex_order(n), TermOrder(lex_order(n).matrix[::-1]),
+        validate_order(random_unimodular(random.Random(draw(st.integers(0, 99))), n))]))
+    scalar = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                       st.sampled_from([1, 2, 3]))
+    keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4))
+    tail = {h if order.is_positive(h) else exp_neg(h): draw(scalar) for h in keys if any(h)}
+    assume(tail)
+    lead, shift, k = draw(scalar), draw(st.tuples(*[st.integers(-1, 1)] * n)), draw(
+        st.integers(-3, -1))
+
+    def box(centre):
+        lo = tuple(v + draw(st.integers(-3, 1)) for v in centre)
+        return Box(lo, tuple(v + draw(st.integers(0, 5)) for v in lo))
+
+    return (fld, order, lead, shift, tail, k, box([k * v for v in shift]),
+            box(exp_neg(shift)), box((0,) * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_inputs())
+def test_powers_match_an_oracle_that_shares_no_kernel_code(inputs):
+    """power(f, k, B1) for k < 0 and a tail of mixed-sign keys is, on the
+    box it claims, the oracle's binomial sum, and the round trips
+    invert(invert(f, B1), B2) = f and mul_within(invert(f, B1), f, B2) = 1
+    hold wherever a result claims its box.  Refusals are recorded by kind."""
+    fld, order, lead, shift, tail, k, b1, b0, b2 = inputs
+    amb = Ambient(GroupSplit(0, len(shift)), order, fld)
+    f = amb.series({shift: lead, **{tuple(map(operator.add, shift, h)): lead * c
+                                    for h, c in tail.items()}})
+    one = {(0,) * len(shift): 1}
+    checks = [  # B1 is b1 for the power and b0 near -shift for the round trips
+        ("power", lambda: power(f, k, b1), lambda p: _oracle_power(
+            fld, order.matrix, lead, shift, tail, k, b1)),
+        ("invert twice", lambda: invert(invert(f, b0), b2.shift(shift)), lambda u: f.coeffs),
+        ("mul_within", lambda: mul_within(invert(f, b0), f, b2), lambda m: one),
+    ]
+    for label, form, want in checks:
+        try:
+            got = form()
+        except GPSeriesError as e:
+            event(f"{label} refused: {type(e).__name__}: {str(e).split(':')[0]}")
+            continue
+        event(f"{label} checked")
+        assert got.coeffs == {e: c for e, c in want(got).items() if _inside(got.box, e)}
+        if label == "power":  # an exact f: the whole target box
+            assert got.box == b1
+
+
 def test_truncated_inverse_takes_the_recurrence(monkeypatch):
     """The inverse of a truncated f, the divisor of a nested division,
     walks one domain and calls no binomial sum."""
@@ -653,14 +750,29 @@ def test_truncated_nonnegative_power_keeps_product_box():
     boxes = {(t, 1): Box((0, 0), (10, 10)), (t, 3): Box((0, 0), (10, 10)),
              (u, 1): Box((-1, -2), (7, 6)), (u, 2): Box((-2, -4), (14, 6)),
              (u, 3): Box((-3, -6), (21, 6))}
-    for (f, k), box in boxes.items():
+    # from k = 4 on, squaring and the chain of k factors part ways
+    for f, k in [*boxes, *((f, k) for f in (t, u) for k in range(4, 10))]:
         expected = reduce(mul, [f] * k, amb.one())
         for p in (power(f, k), power(f, k, Box((0, 0), (3, 3)))):
-            assert p.box == box == expected.box and p.cone == expected.cone
-            assert p.coeffs == expected.coeffs
+            assert p.box == boxes.get((f, k), expected.box) == expected.box
+            assert p.cone == expected.cone and p.coeffs == expected.coeffs
     assert power(t, 0).coeffs == {(0, 0): 1} and power(t, 0).box is None
     zero = truncate(amb.zero(), Box((0, 0), (3, 3)))  # certifiably zero
     assert power(zero, 10 ** 12).is_zero() and power(amb.zero(), 10 ** 12).is_zero()
+
+
+def test_huge_power_of_truncated_base_is_taken_by_squaring(capsys):
+    """(1/(1-X))^k in 0..3 is sum_j C(k+j-1, j) X^j.  Powered by squaring,
+    k = 10^12 takes about 40 certified products, where a chain of k factors
+    would first ask for a k-long list."""
+    amb = make_ambient(1)
+    f = invert(amb.one() - amb.var(1), Box((0,), (3,)))
+    k = 10 ** 12
+    p = power(f, k)
+    assert p.box == Box((0,), (3,))
+    assert p.coeffs == {(j,): math.comb(k + j - 1, j) for j in range(4)}
+    assert run(["--box=0..3", "eval", "(1/(1-X))^1000000000000"]) == 0
+    assert capsys.readouterr().out.startswith("1 + 1000000000000*X + ")
 
 
 def test_pow_operator_is_power():
